@@ -1,0 +1,208 @@
+//! Golden simulator output: three small runs whose full `jellyfish-run
+//! v2` text and flow ledger are pinned in `fixtures/sim_golden_v1.txt`.
+//!
+//! The runs cover the simulator's distinct per-cycle regimes — a flow
+//! burst followed by an idle drain, mid-run link and switch faults
+//! (packets dropped at a network queue head and buffers drained on a
+//! failed switch), and adaptive KSP-UGAL routing under uniform load.
+//! Every one must reproduce the fixture byte for byte on the serial
+//! engine and on the sharded engine at two threads, so a hot-loop
+//! change that alters any RNG draw, arbitration decision or drop shows
+//! up here as a text diff.
+
+use jellyfish_flitsim::{
+    test_util, write_result, FlowStats, Mechanism, ParallelSimulator, RunResult, SimConfig,
+    Simulator,
+};
+use jellyfish_routing::PathSelection;
+use jellyfish_topology::{FaultPlan, RrgParams};
+use jellyfish_traffic::{FlowSize, Matrix, PacketDestinations, ScenarioPlan};
+use std::fmt::Write as _;
+
+const FIXTURE: &str = include_str!("fixtures/sim_golden_v1.txt");
+
+const PARAMS: RrgParams = RrgParams::new(12, 6, 4);
+const TOPO_SEED: u64 = 21;
+
+/// Short schedule: 200 warmup cycles plus eight 200-cycle windows.
+fn config(seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::paper();
+    cfg.warmup_cycles = 200;
+    cfg.sample_cycles = 200;
+    cfg.num_samples = 8;
+    cfg.seed = seed;
+    cfg
+}
+
+struct Case {
+    name: &'static str,
+    selection: PathSelection,
+    mechanism: Mechanism,
+    rate: f64,
+    cfg: SimConfig,
+    faults: Option<FaultPlan>,
+    scenario: Option<ScenarioPlan>,
+}
+
+fn cases() -> Vec<Case> {
+    // Two flow bursts, each followed by an idle drain.
+    let mut bursts = ScenarioPlan::new(5);
+    let size = FlowSize { min: 1, max: 16, alpha: 1.4 };
+    bursts.add_flows(0, 0.01, size, Matrix::Uniform);
+    bursts.add_idle(300);
+    bursts.add_flows(900, 0.02, size, Matrix::Uniform);
+    bursts.add_idle(1000);
+
+    // Two links cut mid-measurement, then two whole switches under
+    // enough load that their input buffers hold packets to drain.
+    // Mask-only mode leaves pairs without a surviving route, so packets
+    // stall at a queue head until their retry budget runs out.
+    let mut faults = FaultPlan::new();
+    faults.add_link_failure(400, 0, first_neighbor(0));
+    faults.add_link_failure(400, 5, first_neighbor(5));
+    faults.add_switch_failure(700, 3);
+    faults.add_switch_failure(1100, 8);
+    let mut fault_cfg = config(11);
+    fault_cfg.fault_repair = false;
+
+    vec![
+        Case {
+            name: "burst-idle",
+            selection: PathSelection::REdKsp(4),
+            mechanism: Mechanism::KspAdaptive,
+            rate: 0.0,
+            cfg: config(7),
+            faults: None,
+            scenario: Some(bursts),
+        },
+        Case {
+            name: "link-and-switch-faults",
+            selection: PathSelection::RKsp(4),
+            mechanism: Mechanism::Random,
+            rate: 0.45,
+            cfg: fault_cfg,
+            faults: Some(faults),
+            scenario: None,
+        },
+        Case {
+            name: "ksp-ugal-uniform",
+            selection: PathSelection::Ksp(4),
+            mechanism: Mechanism::KspUgal,
+            rate: 0.3,
+            cfg: config(13),
+            faults: None,
+            scenario: None,
+        },
+    ]
+}
+
+fn first_neighbor(u: u32) -> u32 {
+    test_util::graph(PARAMS, TOPO_SEED).neighbors(u)[0]
+}
+
+/// Runs one case on the serial engine (`threads == 0`) or the sharded
+/// engine and renders its result and flow ledger.
+fn render(case: &Case, threads: usize) -> String {
+    let g = test_util::graph(PARAMS, TOPO_SEED);
+    let t = test_util::all_pairs_table(PARAMS, TOPO_SEED, case.selection, 3);
+    let pattern = PacketDestinations::Uniform { num_hosts: PARAMS.num_hosts() };
+    let (result, flows): (RunResult, Option<FlowStats>) = if threads == 0 {
+        let mut sim =
+            Simulator::new(&g, PARAMS, &t, None, case.mechanism, pattern, case.rate, case.cfg);
+        if let Some(plan) = &case.faults {
+            sim = sim.with_fault_plan(plan);
+        }
+        if let Some(plan) = &case.scenario {
+            sim = sim.with_scenario(plan);
+        }
+        (sim.run(), sim.flow_stats())
+    } else {
+        let mut sim = ParallelSimulator::new(
+            &g,
+            PARAMS,
+            &t,
+            None,
+            case.mechanism,
+            pattern,
+            case.rate,
+            case.cfg,
+            threads,
+        );
+        if let Some(plan) = &case.faults {
+            sim = sim.with_fault_plan(plan);
+        }
+        if let Some(plan) = &case.scenario {
+            sim = sim.with_scenario(plan);
+        }
+        (sim.run(), sim.flow_stats())
+    };
+    let mut buf = Vec::new();
+    write_result(&result, &mut buf).expect("in-memory write");
+    let mut out = format!("run {}\n", case.name);
+    out.push_str(std::str::from_utf8(&buf).expect("the run format is text"));
+    match flows {
+        None => out.push_str("flows none\n"),
+        Some(f) => {
+            let (p50, p90, p99, p999) = f.fct_hist.percentiles();
+            writeln!(
+                out,
+                "flows generated {} completed {} dropped {} live {} fct_sum {} fct_count {} \
+                 fct_p50 {p50} fct_p90 {p90} fct_p99 {p99} fct_p999 {p999} fct_max {}",
+                f.generated,
+                f.completed,
+                f.dropped,
+                f.live,
+                f.fct_sum,
+                f.fct_hist.count(),
+                f.fct_hist.max()
+            )
+            .expect("string write");
+        }
+    }
+    out
+}
+
+fn render_all(threads: usize) -> String {
+    let mut out = String::from("jellyfish-sim-golden v1\n");
+    for case in cases() {
+        out.push_str(&render(&case, threads));
+    }
+    out
+}
+
+#[test]
+fn serial_runs_match_the_golden_fixture() {
+    jellyfish_repro::audit_simulations(); // per-cycle checks under --features audit
+    assert_eq!(render_all(0), FIXTURE, "serial simulator output drifted from the golden fixture");
+}
+
+#[test]
+fn two_shard_runs_match_the_golden_fixture() {
+    jellyfish_repro::audit_simulations();
+    assert_eq!(
+        render_all(2),
+        FIXTURE,
+        "two-shard simulator output drifted from the golden fixture"
+    );
+}
+
+#[test]
+fn golden_runs_exercise_every_regime() {
+    // Guards the fixture itself: each case must keep reaching the code
+    // paths it exists to pin.
+    let section = |name: &str| {
+        FIXTURE.split("\nrun ").find(|s| s.starts_with(&format!("{name}\n"))).expect("case present")
+    };
+    let field = |sec: &str, key: &str| -> u64 {
+        let line = sec.lines().find(|l| l.starts_with(&format!("{key} "))).expect("field");
+        line[key.len() + 1..].parse().expect("integer field")
+    };
+    let bursts = section("burst-idle");
+    assert!(!bursts.contains("flows generated 0 "), "{bursts}");
+    assert!(bursts.contains(" live 0 "), "every burst must drain: {bursts}");
+    let faults = section("link-and-switch-faults");
+    assert!(field(faults, "dropped") > 0, "{faults}");
+    let ugal = section("ksp-ugal-uniform");
+    assert!(field(ugal, "ejected") > 0, "{ugal}");
+    assert!(ugal.contains("saturated 0"), "{ugal}");
+}
