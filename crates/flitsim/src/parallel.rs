@@ -447,6 +447,15 @@ impl<'a> ParallelSimulator<'a> {
         self.cells[owner].lock().expect("no prior panic").sim.audit_corrupt_credit(link, vc);
     }
 
+    /// Test hook (`audit` feature): inflates one router's load counter
+    /// on its owning shard.
+    #[cfg(feature = "audit")]
+    #[doc(hidden)]
+    pub fn audit_corrupt_router_load(&mut self, router: NodeId) {
+        let owner = self.shard_of[router as usize] as usize;
+        self.cells[owner].lock().expect("no prior panic").sim.audit_corrupt_router_load(router);
+    }
+
     /// Test hook (`audit` feature): permanently blocks a host's
     /// ejection port on its owning shard.
     #[cfg(feature = "audit")]
@@ -1156,6 +1165,11 @@ fn merged_audit(
                 ));
             }
         }
+    }
+    // rtr_load agrees with queue emptiness (checked on the router's
+    // owning shard, which holds its input buffers and source queues).
+    for r in 0..sh.graph.num_nodes() as NodeId {
+        cells[sh.shard_of[r as usize] as usize].sim.audit_router_load(a, r)?;
     }
     // Route validity for every queued packet, walked in the serial
     // order: source queues by host, input buffers by queue index, then

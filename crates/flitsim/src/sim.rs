@@ -370,6 +370,12 @@ pub struct Simulator<'a> {
     pub(crate) in_buf: Vec<VecDeque<PacketId>>,
     /// Bitmask of non-empty VC queues per in-link (hot-loop skip).
     pub(crate) vc_occ: Vec<u32>,
+    /// Per router: non-empty input VC queues plus non-empty source
+    /// queues of its hosts. `allocate` skips routers at zero.
+    rtr_load: Vec<u32>,
+    /// Reverse direction of every directed link, so the cycle loop
+    /// never searches the graph for it.
+    rev_link: Vec<LinkId>,
     /// Free downstream slots per `(link, vc)` as seen by the sender.
     pub(crate) credits: Vec<u16>,
     /// Per-host source queues.
@@ -524,6 +530,8 @@ impl<'a> Simulator<'a> {
             arena: Arena::default(),
             in_buf: (0..links * num_vcs).map(|_| VecDeque::new()).collect(),
             vc_occ: vec![0; links],
+            rtr_load: vec![0; graph.num_nodes()],
+            rev_link: (0..links as LinkId).map(|l| graph.reverse_link(l)).collect(),
             credits: vec![cfg.vc_buffer; links * num_vcs],
             src_q: (0..hosts).map(|_| VecDeque::new()).collect(),
             chan: (0..lat).map(|_| Vec::new()).collect(),
@@ -703,7 +711,7 @@ impl<'a> Simulator<'a> {
     fn push_credit_return(&mut self, qi: u32) {
         let deliver = self.cycle + self.cfg.channel_latency;
         if !self.shard_of.is_empty() {
-            let src = self.graph.link_src((qi / self.num_vcs as u32) as LinkId);
+            let src = self.graph.link_dst(self.rev_link[(qi / self.num_vcs as u32) as usize]);
             let s = self.shard_of[src as usize];
             if s != self.my_shard {
                 self.out_creds[s as usize].push(CredMsg { deliver, qi });
@@ -714,14 +722,59 @@ impl<'a> Simulator<'a> {
         self.cred[slot].push(qi);
     }
 
+    // Queue transitions. Every push and pop of an input VC queue or a
+    // source queue goes through these four, which keep `vc_occ` and
+    // `rtr_load` in step with queue emptiness.
+
+    /// Appends a packet to network queue `qi`.
+    #[inline]
+    fn push_net(&mut self, qi: u32, id: PacketId) {
+        let (link, bit) = (qi as usize / self.num_vcs, 1 << (qi as usize % self.num_vcs));
+        if self.vc_occ[link] & bit == 0 {
+            self.vc_occ[link] |= bit;
+            self.rtr_load[self.graph.link_dst(link as LinkId) as usize] += 1;
+        }
+        self.in_buf[qi as usize].push_back(id);
+    }
+
+    /// Pops the head of network queue `qi`.
+    #[inline]
+    fn pop_net(&mut self, qi: u32) -> Option<PacketId> {
+        let popped = self.in_buf[qi as usize].pop_front();
+        if popped.is_some() && self.in_buf[qi as usize].is_empty() {
+            let link = qi as usize / self.num_vcs;
+            self.vc_occ[link] &= !(1 << (qi as usize % self.num_vcs));
+            self.rtr_load[self.graph.link_dst(link as LinkId) as usize] -= 1;
+        }
+        popped
+    }
+
+    /// Appends a packet to host `h`'s source queue.
+    #[inline]
+    fn push_source(&mut self, h: u32, id: PacketId) {
+        if self.src_q[h as usize].is_empty() {
+            self.rtr_load[self.params.switch_of_host(h as usize) as usize] += 1;
+        }
+        self.src_q[h as usize].push_back(id);
+    }
+
+    /// Pops the head of host `h`'s source queue.
+    #[inline]
+    fn pop_source(&mut self, h: u32) -> Option<PacketId> {
+        let popped = self.src_q[h as usize].pop_front();
+        if popped.is_some() && self.src_q[h as usize].is_empty() {
+            self.rtr_load[self.params.switch_of_host(h as usize) as usize] -= 1;
+        }
+        popped
+    }
+
     /// Delivers channel arrivals and credit returns due this cycle into
     /// the input buffers and credit counters.
     pub(crate) fn deliver_due(&mut self) {
         let slot = self.cycle as usize % self.chan.len();
         let arrivals = std::mem::take(&mut self.chan[slot]);
         for (pkt, qi) in arrivals {
-            self.in_buf[qi as usize].push_back(pkt);
-            self.vc_occ[qi as usize / self.num_vcs] |= 1 << (qi as usize % self.num_vcs);
+            self.push_net(qi, pkt);
         }
         let returns = std::mem::take(&mut self.cred[slot]);
         for qi in returns {
@@ -897,7 +950,7 @@ impl<'a> Simulator<'a> {
                 continue;
             }
             let id = self.arena.alloc(dst, self.cycle);
-            self.src_q[h as usize].push_back(id);
+            self.push_source(h, id);
             self.generated_total += 1;
             #[cfg(feature = "audit")]
             self.audit_record(AuditEvent::Inject { cycle: self.cycle, host: h, packet: id });
@@ -946,7 +999,7 @@ impl<'a> Simulator<'a> {
             return;
         }
         let id = self.arena.alloc_flow(f.dst, self.cycle, f.uid, f.size, f.arrival);
-        self.src_q[h as usize].push_back(id);
+        self.push_source(h, id);
         self.generated_total += 1;
         #[cfg(feature = "audit")]
         self.audit_record(AuditEvent::Inject { cycle: self.cycle, host: h, packet: id });
@@ -976,6 +1029,9 @@ impl<'a> Simulator<'a> {
         let detail = jellyfish_obs::trace::enabled()
             && self.cycle.is_multiple_of(jellyfish_obs::trace::detail_stride());
         for r in self.rtr_lo..self.rtr_hi {
+            if self.rtr_load[r as usize] == 0 {
+                continue; // no queued packet: no request, no RNG draw
+            }
             let deg = self.graph.degree(r);
             let out_base = self.graph.out_links(r).start;
             #[cfg(feature = "obs")]
@@ -986,7 +1042,7 @@ impl<'a> Simulator<'a> {
             // local out-link i.
             for i in 0..deg {
                 let out_link = out_base + i as u32;
-                let in_link = self.graph.reverse_link(out_link);
+                let in_link = self.rev_link[out_link as usize];
                 let mut occ = self.vc_occ[in_link as usize];
                 while occ != 0 {
                     let vc = occ.trailing_zeros() as u16;
@@ -1019,7 +1075,7 @@ impl<'a> Simulator<'a> {
                     self.arena.set_path(pkt, path);
                     if self.arena.path(pkt).is_empty() {
                         // No surviving route to the destination.
-                        self.src_q[h].pop_front();
+                        self.pop_source(h as u32);
                         #[cfg(feature = "audit")]
                         self.audit_record(AuditEvent::Drop {
                             cycle: self.cycle,
@@ -1034,7 +1090,7 @@ impl<'a> Simulator<'a> {
                     }
                 }
                 if self.fault_view.is_some() && !self.fault_fate(pkt, r) {
-                    self.src_q[h].pop_front();
+                    self.pop_source(h as u32);
                     #[cfg(feature = "audit")]
                     self.audit_record(AuditEvent::Drop {
                         cycle: self.cycle,
@@ -1133,17 +1189,12 @@ impl<'a> Simulator<'a> {
                 let req = self.reqs[ridx];
                 // Pop from the source queue / input buffer.
                 let popped = match req.queue {
-                    QueueRef::Source(h) => self.src_q[h as usize].pop_front(),
+                    QueueRef::Source(h) => self.pop_source(h),
                     QueueRef::Net(qi) => {
                         // Return the freed slots' credit upstream after the
                         // channel latency.
                         self.push_credit_return(qi);
-                        let popped = self.in_buf[qi as usize].pop_front();
-                        if self.in_buf[qi as usize].is_empty() {
-                            self.vc_occ[qi as usize / self.num_vcs] &=
-                                !(1 << (qi as usize % self.num_vcs));
-                        }
-                        popped
+                        self.pop_net(qi)
                     }
                 };
                 debug_assert_eq!(popped, Some(req.packet));
@@ -1299,10 +1350,7 @@ impl<'a> Simulator<'a> {
     /// bookkeeping as a grant (upstream credit return, occupancy bit).
     fn drop_net_head(&mut self, qi: u32) {
         self.push_credit_return(qi);
-        let popped = self.in_buf[qi as usize].pop_front().expect("head exists");
-        if self.in_buf[qi as usize].is_empty() {
-            self.vc_occ[qi as usize / self.num_vcs] &= !(1 << (qi as usize % self.num_vcs));
-        }
+        let popped = self.pop_net(qi).expect("head exists");
         #[cfg(feature = "audit")]
         {
             let router = self.graph.link_dst((qi / self.num_vcs as u32) as LinkId);
@@ -1402,15 +1450,15 @@ impl<'a> Simulator<'a> {
                 continue; // drained by the switch's owning shard
             }
             for l in self.graph.out_links(node) {
-                let in_link = self.graph.reverse_link(l);
+                let in_link = self.rev_link[l as usize];
                 for vc in 0..self.num_vcs as u16 {
-                    let qi = self.qi(in_link, vc) as usize;
-                    while let Some(p) = self.in_buf[qi].pop_front() {
+                    let qi = self.qi(in_link, vc);
+                    while let Some(p) = self.pop_net(qi) {
                         #[cfg(feature = "audit")]
                         self.audit_record(AuditEvent::Drop {
                             cycle: self.cycle,
                             router: node,
-                            qi: qi as u32,
+                            qi,
                             packet: p,
                         });
                         self.note_flow_drop(p);
@@ -1418,7 +1466,6 @@ impl<'a> Simulator<'a> {
                         self.dropped += 1;
                     }
                 }
-                self.vc_occ[in_link as usize] = 0;
             }
         }
     }
@@ -1938,6 +1985,10 @@ impl<'a> Simulator<'a> {
                 }
             }
         }
+        // rtr_load agrees with queue emptiness (the allocator's skip test).
+        for r in 0..self.graph.num_nodes() as NodeId {
+            self.audit_router_load(a, r)?;
+        }
         // Route validity for every queued packet.
         for (h, q) in self.src_q.iter().enumerate() {
             for &pid in q {
@@ -1963,6 +2014,31 @@ impl<'a> Simulator<'a> {
                     "no grant, ejection, or drop for {} cycles with {live} live packet(s) \
                      — deadlock/livelock",
                     a.stall_cycles(cycle)
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// `rtr_load[r]` equals the number of non-empty input VC queues and
+    /// non-empty source queues at router `r`, counted from the queues
+    /// themselves. Under sharding, call it on the router's owning shard.
+    #[cfg(feature = "audit")]
+    pub(crate) fn audit_router_load(&self, a: &mut Auditor, r: NodeId) -> Result<(), Violation> {
+        let mut net = 0;
+        for l in self.graph.out_links(r) {
+            let base = self.rev_link[l as usize] as usize * self.num_vcs;
+            net += self.in_buf[base..base + self.num_vcs].iter().filter(|q| !q.is_empty()).count();
+        }
+        let src = self.params.hosts_of_switch(r).filter(|&h| !self.src_q[h].is_empty()).count();
+        if self.rtr_load[r as usize] as usize != net + src {
+            return Err(a.violation(
+                "router-load",
+                self.cycle,
+                format!(
+                    "router {r}: rtr_load {} but {net} non-empty input VC queue(s) \
+                     + {src} non-empty source queue(s)",
+                    self.rtr_load[r as usize]
                 ),
             ));
         }
@@ -2068,6 +2144,14 @@ impl<'a> Simulator<'a> {
     pub fn audit_corrupt_credit(&mut self, link: LinkId, vc: u16) {
         let qi = self.qi(link, vc) as usize;
         self.credits[qi] -= 1;
+    }
+
+    /// Test hook (`audit` feature): inflates one router's load counter
+    /// so the seeded-violation tests can verify `router-load` fires.
+    #[cfg(feature = "audit")]
+    #[doc(hidden)]
+    pub fn audit_corrupt_router_load(&mut self, router: NodeId) {
+        self.rtr_load[router as usize] += 1;
     }
 
     /// Test hook (`audit` feature): permanently blocks a host's

@@ -81,6 +81,59 @@ fn corrupted_credit_same_verdict_across_thread_counts() {
     }
 }
 
+/// A router-load counter that disagrees with its queues is caught by
+/// the `router-load` invariant, naming the router, on the serial engine
+/// and at one and two shards (router 7 lives on the second shard).
+#[test]
+fn corrupted_router_load_names_invariant_and_router() {
+    let p = RrgParams::new(12, 6, 4);
+    let g = test_util::graph(p, 21);
+    let t = test_util::all_pairs_table(p, 21, PathSelection::Ksp(4), 21);
+    let serial_msg = violation_message(|| {
+        let mut sim = Simulator::new(
+            &g,
+            p,
+            &t,
+            None,
+            Mechanism::Random,
+            uniform(&p),
+            0.1,
+            SimConfig::paper(),
+        )
+        .with_auditor(AuditConfig::default());
+        sim.audit_corrupt_router_load(7);
+        sim.run();
+    });
+    assert!(serial_msg.contains("audit violation: router-load at cycle 0"), "{serial_msg}");
+    assert!(serial_msg.contains("router 7: rtr_load"), "{serial_msg}");
+    for threads in [1usize, 2] {
+        let msg = violation_message(|| {
+            let mut sim = ParallelSimulator::new(
+                &g,
+                p,
+                &t,
+                None,
+                Mechanism::Random,
+                uniform(&p),
+                0.1,
+                SimConfig::paper(),
+                threads,
+            )
+            .with_auditor(AuditConfig::default());
+            sim.audit_corrupt_router_load(7);
+            sim.run();
+        });
+        assert!(
+            msg.contains("audit violation: router-load at cycle 0"),
+            "threads={threads}: {msg}"
+        );
+        assert!(msg.contains("router 7: rtr_load"), "threads={threads}: {msg}");
+        if threads == 1 {
+            assert_eq!(msg, serial_msg, "single-shard diagnostic diverged from serial");
+        }
+    }
+}
+
 /// A blocked ejection port clogs the fabric until the forward-progress
 /// watchdog fires; the merged recorder must still carry the injection
 /// context and replay in cycle order.
