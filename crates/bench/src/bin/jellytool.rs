@@ -846,60 +846,29 @@ fn stats(flags: &HashMap<String, String>) {
         None
     };
 
-    // Same seed, same run: the parallel engine is byte-identical to the
-    // serial one, so --threads only changes which engine executes.
-    let threads = jellyfish_flitsim::resolve_threads(None);
+    // Same seed, same run: results are byte-identical at any shard
+    // count, so --threads only changes how many workers execute it.
+    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
+    let mut sim = jellyfish_flitsim::Simulator::new(
+        net.graph(),
+        params,
+        &table,
+        sp_table.as_ref(),
+        mech,
+        pattern,
+        rate,
+        scale.sim_config(),
+    )
+    .with_threads(jellyfish_flitsim::resolve_threads(None));
     #[cfg(feature = "obs")]
-    let telemetry: String;
-    let result;
-    if threads > 1 {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut sim = jellyfish_flitsim::ParallelSimulator::new(
-            net.graph(),
-            params,
-            &table,
-            sp_table.as_ref(),
-            mech,
-            pattern,
-            rate,
-            scale.sim_config(),
-            threads,
-        );
-        #[cfg(feature = "obs")]
-        {
-            sim = sim.with_observer(jellyfish_flitsim::ObserveConfig { stride });
-        }
-        let span = jellyfish_obs::span("jellytool.stats.run");
-        result = sim.run();
-        span.finish();
-        #[cfg(feature = "obs")]
-        {
-            telemetry = sim.take_metrics().expect("observer was attached").to_json();
-        }
-    } else {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut sim = jellyfish_flitsim::Simulator::new(
-            net.graph(),
-            params,
-            &table,
-            sp_table.as_ref(),
-            mech,
-            pattern,
-            rate,
-            scale.sim_config(),
-        );
-        #[cfg(feature = "obs")]
-        {
-            sim = sim.with_observer(jellyfish_flitsim::ObserveConfig { stride });
-        }
-        let span = jellyfish_obs::span("jellytool.stats.run");
-        result = sim.run();
-        span.finish();
-        #[cfg(feature = "obs")]
-        {
-            telemetry = sim.take_metrics().expect("observer was attached").to_json();
-        }
+    {
+        sim = sim.with_observer(jellyfish_flitsim::ObserveConfig { stride });
     }
+    let span = jellyfish_obs::span("jellytool.stats.run");
+    let result = sim.run();
+    span.finish();
+    #[cfg(feature = "obs")]
+    let telemetry = sim.take_metrics().expect("observer was attached").to_json();
     #[cfg(not(feature = "obs"))]
     let _ = stride;
 
@@ -1004,40 +973,21 @@ fn scenario_run(
     let params = *net.params();
     let pattern = PacketDestinations::Uniform { num_hosts: params.num_hosts() };
     let span = jellyfish_obs::span("jellytool.scenario.run");
-    let out = if threads > 1 {
-        let mut sim = jellyfish_flitsim::ParallelSimulator::new(
-            net.graph(),
-            params,
-            table,
-            sp_table,
-            mech,
-            pattern,
-            0.0,
-            cfg,
-            threads,
-        )
-        .with_scenario(plan);
-        let r = sim.run();
-        let flows = sim.flow_stats().expect("scenario attached");
-        (r, flows)
-    } else {
-        let mut sim = jellyfish_flitsim::Simulator::new(
-            net.graph(),
-            params,
-            table,
-            sp_table,
-            mech,
-            pattern,
-            0.0,
-            cfg,
-        )
-        .with_scenario(plan);
-        let r = sim.run();
-        let flows = sim.flow_stats().expect("scenario attached");
-        (r, flows)
-    };
+    let mut sim = jellyfish_flitsim::Simulator::new(
+        net.graph(),
+        params,
+        table,
+        sp_table,
+        mech,
+        pattern,
+        0.0,
+        cfg,
+    )
+    .with_threads(threads)
+    .with_scenario(plan);
+    let result = sim.run();
     span.finish();
-    out
+    (result, sim.flow_stats().expect("scenario attached"))
 }
 
 /// Sweeps a dynamic traffic scenario across the four path-selection

@@ -331,8 +331,9 @@ fn sim_workload(name: &'static str, scale: Scale) -> Workload {
     }
 }
 
-/// The sharded parallel engine on the exact `sim_cycles` instance, so
-/// the two baselines are directly comparable: the speedup target is
+/// The simulator at one shard per available core on the exact
+/// `sim_cycles` instance, so the two baselines are directly comparable:
+/// the speedup target is
 /// `sim_cycles_parallel.cycles_per_sec / sim_cycles.cycles_per_sec`.
 /// Thread count is the machine's available parallelism capped at 8 (the
 /// ISSUE's speedup target point) and recorded in the `threads` gauge —
@@ -361,7 +362,7 @@ fn sim_parallel_workload(scale: Scale) -> Workload {
                 );
                 (net, table)
             });
-            let mut sim = jellyfish_flitsim::ParallelSimulator::new(
+            let mut sim = jellyfish_flitsim::Simulator::new(
                 net.graph(),
                 params,
                 table,
@@ -370,8 +371,8 @@ fn sim_parallel_workload(scale: Scale) -> Workload {
                 PacketDestinations::Uniform { num_hosts: params.num_hosts() },
                 0.20,
                 cfg,
-                threads,
-            );
+            )
+            .with_threads(threads);
             let (ns, result) = time(|| sim.run());
             assert!(!result.saturated, "bench sim saturated at load 0.20");
             RunSample {

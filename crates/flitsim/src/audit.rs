@@ -200,7 +200,7 @@ impl fmt::Display for Violation {
 
 /// The per-run auditor: flight recorder, watchdog state, and reusable
 /// scratch for the per-queue occupancy tallies.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Auditor {
     cfg: AuditConfig,
     ring: VecDeque<AuditEvent>,

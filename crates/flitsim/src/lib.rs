@@ -25,6 +25,10 @@
 //! chooses one of the precomputed paths (or a valiant path for vanilla
 //! UGAL) when the packet is generated, using downstream-credit queue
 //! estimates for the adaptive schemes.
+//!
+//! A [`Simulator`] advances the network as contiguous router shards in
+//! lockstep ([`parallel`]): one shard by default, more with
+//! [`Simulator::with_threads`], byte-identical results either way.
 
 #[cfg(feature = "audit")]
 pub mod audit;
@@ -45,8 +49,7 @@ pub use config::SimConfig;
 pub use mechanism::Mechanism;
 #[cfg(feature = "obs")]
 pub use observe::{ObserveConfig, SimMetrics};
-pub use parallel::{install_threads, resolve_threads, ParallelSimulator};
-pub use sim::Simulator;
+pub use parallel::{install_threads, resolve_threads, Simulator};
 pub use stats::{read_result, write_result, FlowStats, ResultReadError, RunResult};
 pub use sweep::{
     latency_curve, run_at, saturation_search, saturation_throughput, LoadPoint, SweepConfig,

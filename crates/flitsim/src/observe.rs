@@ -56,6 +56,11 @@ impl SimObserver {
         }
     }
 
+    /// The sampling stride in measured cycles.
+    pub(crate) fn stride(&self) -> u32 {
+        self.stride
+    }
+
     /// Takes a sample if `rel_cycle` (cycles since measurement began)
     /// falls on the stride grid. `credits` is the simulator's flat
     /// `(link, vc)` free-slot array.

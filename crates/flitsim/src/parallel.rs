@@ -1,12 +1,15 @@
-//! Deterministic sharded parallel execution of the flit simulator.
+//! The simulator's run loop: [`Simulator`] and its lockstep shards.
 //!
-//! [`ParallelSimulator`] partitions the routers into contiguous shards,
-//! one per worker thread, and advances every shard in lockstep: each
-//! worker runs a full [`Simulator`] narrowed to its own router/host
-//! range, and boundary traffic — flits granted onto a link whose
-//! downstream router lives on another shard, and credit returns owed to
-//! a remote sender — is exchanged exactly once per cycle through
-//! double-buffered inbox channels at a sense-reversing spin barrier.
+//! A [`Simulator`] partitions the routers into contiguous shards — one
+//! unless [`Simulator::with_threads`] asks for more — and runs one worker
+//! per shard, the first on the calling thread. Each worker advances its
+//! shard through the stages of a cycle, and boundary traffic — flits
+//! granted onto a link whose downstream router lives on another shard,
+//! and credit returns owed to a remote sender — is exchanged exactly once
+//! per cycle through double-buffered inbox channels at a
+//! sense-reversing spin barrier. A lone shard owns every router, so it
+//! has nothing to exchange and its barrier never waits: a serial run is
+//! the one-shard case of the same loop.
 //!
 //! # Why once-per-cycle exchange is exact
 //!
@@ -14,23 +17,23 @@
 //! granted in cycle `t` cannot affect any router before cycle `t + 1`.
 //! Messages carry the *absolute* arrival cycle and are filed into the
 //! receiving shard's delay lines at the start of `t + 1`, landing in
-//! the same slot the serial engine would have used. Within a slot the
+//! the same slot a one-shard run would have used. Within a slot the
 //! insertion order is irrelevant: an output port grants at most one
 //! packet per cycle, so a `(link, vc)` queue receives at most one flit
 //! per cycle, and credit increments commute. No speculation, no
-//! rollback — the barrier alone recovers the serial schedule.
+//! rollback — the barrier alone recovers the one-shard schedule.
 //!
-//! # Why fixed-seed runs are byte-identical at any thread count
+//! # Why fixed-seed runs are byte-identical at any shard count
 //!
 //! Randomness is drawn from per-host and per-router streams seeded by
-//! [`crate::sim::stream_seed`], so the values a host or router consumes
+//! `sim::stream_seed`, so the values a host or router consumes
 //! are a function of the simulated state alone, never of how routers
 //! are partitioned or which worker executes first. All cross-shard
 //! state is exchanged at the barrier, measurement windows close under a
 //! global decision taken by one thread from the merged integer latency
 //! sums, and histograms merge by bucket addition — so the [`RunResult`]
 //! (percentiles, `measured_cycles`, saturation verdict, everything) is
-//! bit-for-bit the serial result for every shard count, including 1.
+//! bit-for-bit the same for every shard count.
 
 #[cfg(feature = "audit")]
 use crate::audit::{self, AuditConfig, AuditEvent, Auditor, Violation};
@@ -38,7 +41,7 @@ use crate::config::SimConfig;
 use crate::mechanism::Mechanism;
 #[cfg(feature = "obs")]
 use crate::observe::{ObserveConfig, SimMetrics, SimObserver};
-use crate::sim::{CredMsg, FlitMsg, Simulator};
+use crate::sim::{CredMsg, FlitMsg, ScenarioState, Shard};
 use crate::stats::{FlowStats, RunResult, SampleAccumulator};
 use jellyfish_obs::LogHistogram;
 use jellyfish_routing::PathTable;
@@ -61,11 +64,16 @@ pub fn install_threads(n: usize) {
     INSTALLED_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// Resolves the worker-thread count for a run. Precedence: an explicit
-/// nonzero request, then [`install_threads`], then the
-/// `JELLYFISH_SIM_THREADS` environment variable, then 1 (serial).
-/// Parallel execution is strictly opt-in: results are identical either
-/// way, so the default favors the engine with zero coordination cost.
+/// Resolves the worker-thread (shard) count for a run. Precedence: an
+/// explicit nonzero request, then [`install_threads`], then the
+/// `JELLYFISH_SIM_THREADS` environment variable, then 1. More shards are
+/// strictly opt-in: results are identical either way, so the default is
+/// the one shard with no cross-shard exchange to pay for.
+///
+/// # Panics
+/// Panics when `JELLYFISH_SIM_THREADS` is set to anything but an
+/// integer >= 1 — the values the CLI's `--threads` rejects — rather
+/// than quietly running on one shard.
 pub fn resolve_threads(requested: Option<usize>) -> usize {
     if let Some(n) = requested {
         if n > 0 {
@@ -76,14 +84,11 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
     if installed > 0 {
         return installed;
     }
-    if let Ok(v) = std::env::var("JELLYFISH_SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    let Some(v) = std::env::var_os("JELLYFISH_SIM_THREADS") else { return 1 };
+    match v.to_str().and_then(|s| s.trim().parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => panic!("JELLYFISH_SIM_THREADS must be an integer >= 1, got {v:?}"),
     }
-    1
 }
 
 /// Decision codes published by the coordinator at special cycles.
@@ -112,6 +117,9 @@ impl SpinBarrier {
     }
 
     fn wait(&self) {
+        if self.total == 1 {
+            return; // nobody to wait for
+        }
         if self.poisoned.load(Ordering::Acquire) {
             panic!("shard barrier poisoned: a sibling worker panicked");
         }
@@ -151,18 +159,6 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// One shard's state: the narrowed simulator plus the per-shard slices
-/// of the run accumulators that the coordinator merges at the end.
-struct ShardCell<'a> {
-    sim: Simulator<'a>,
-    acc: SampleAccumulator,
-    generated: u64,
-    ejected: u64,
-    /// Measured cycles since the last window close (identical across
-    /// shards; kept per cell so the coordinator can reset it on close).
-    window_cycles: u32,
-}
-
 /// Double-buffered inbox lane: slot `t % 2` receives messages sent
 /// during cycle `t`; the receiver drains slot `(t + 1) % 2` (cycle
 /// `t - 1`'s messages) at the start of cycle `t`. The single barrier
@@ -174,7 +170,7 @@ type CredLane = [Mutex<Vec<CredMsg>>; 2];
 
 /// Everything the workers share for one run.
 struct Shared<'s, 'a> {
-    cells: &'s [Mutex<ShardCell<'a>>],
+    cells: &'s [Mutex<Shard<'a>>],
     /// `flit_in[receiver][sender]` boundary packet lanes.
     flit_in: &'s [Vec<FlitLane>],
     /// `cred_in[receiver][sender]` boundary credit-return lanes.
@@ -216,31 +212,41 @@ struct CoordState<'o> {
     _pd: std::marker::PhantomData<&'o ()>,
 }
 
-/// The sharded parallel engine. Mirrors the [`Simulator`] builder API
-/// and produces byte-identical [`RunResult`]s for a fixed seed at any
-/// thread count.
-pub struct ParallelSimulator<'a> {
-    cells: Vec<Mutex<ShardCell<'a>>>,
+/// One simulation run: a (topology, path table, mechanism, traffic,
+/// offered load) configuration advanced cycle by cycle.
+///
+/// The routers are split into shards advanced in lockstep — one shard
+/// by default, more with [`Self::with_threads`] — and a fixed seed
+/// produces byte-identical [`RunResult`]s at any shard count.
+pub struct Simulator<'a> {
+    shards: Vec<Mutex<Shard<'a>>>,
+    /// Router range `[lo, hi)` of each shard.
     bounds: Vec<(NodeId, NodeId)>,
+    /// Owning shard of every switch.
     shard_of: Arc<Vec<u16>>,
     graph: &'a Graph,
     params: RrgParams,
+    cfg: SimConfig,
+    /// Per-cycle occupancy/credit-stall sampler, attached via
+    /// [`Self::with_observer`].
     #[cfg(feature = "obs")]
     observer: Option<SimObserver>,
-    #[cfg(feature = "obs")]
-    obs_stride: u32,
+    /// Per-cycle invariant auditor over the merged shard state, attached
+    /// via [`Self::with_auditor`] or the global
+    /// [`crate::audit::install_global`] configuration.
     #[cfg(feature = "audit")]
-    merged_auditor: Option<Auditor>,
-    /// Final cycle of the completed run (for [`Self::take_metrics`]).
-    final_cycle: u32,
+    auditor: Option<Auditor>,
 }
 
-impl<'a> ParallelSimulator<'a> {
-    /// Creates a sharded simulator over `threads` workers (clamped to
-    /// `[1, switches]`). Arguments mirror [`Simulator::new`].
+impl<'a> Simulator<'a> {
+    /// Creates a simulator.
+    ///
+    /// `sp_table` must be provided (all-pairs, single shortest path) when
+    /// `mechanism` is [`Mechanism::VanillaUgal`].
     ///
     /// # Panics
-    /// Panics on the same inconsistent arguments as [`Simulator::new`].
+    /// Panics on inconsistent arguments (missing sp_table, invalid
+    /// config, graph/params mismatch).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         graph: &'a Graph,
@@ -251,125 +257,114 @@ impl<'a> ParallelSimulator<'a> {
         pattern: PacketDestinations,
         rate: f64,
         cfg: SimConfig,
-        threads: usize,
     ) -> Self {
+        let shard = Shard::new(graph, params, table, sp_table, mechanism, pattern, rate, cfg);
         let n = graph.num_nodes();
-        let shards = threads.max(1).min(n.max(1));
-        let mut bounds = Vec::with_capacity(shards);
-        let mut shard_of = vec![0u16; n];
-        for s in 0..shards {
-            let lo = (s * n / shards) as NodeId;
-            let hi = ((s + 1) * n / shards) as NodeId;
-            for r in lo..hi {
-                shard_of[r as usize] = s as u16;
-            }
-            bounds.push((lo, hi));
-        }
-        let shard_of = Arc::new(shard_of);
-        let cells = (0..shards)
-            .map(|s| {
-                let mut sim = Simulator::new(
-                    graph,
-                    params,
-                    table,
-                    sp_table,
-                    mechanism,
-                    pattern.clone(),
-                    rate,
-                    cfg,
-                );
-                let (lo, hi) = bounds[s];
-                sim.set_shard(s as u16, shards, lo, hi, Arc::clone(&shard_of));
-                Mutex::new(ShardCell {
-                    sim,
-                    acc: SampleAccumulator::default(),
-                    generated: 0,
-                    ejected: 0,
-                    window_cycles: 0,
-                })
-            })
-            .collect();
         Self {
-            cells,
-            bounds,
-            shard_of,
+            shards: vec![Mutex::new(shard)],
+            bounds: vec![(0, n as NodeId)],
+            shard_of: Arc::new(vec![0; n]),
             graph,
             params,
+            cfg,
             #[cfg(feature = "obs")]
             observer: None,
-            #[cfg(feature = "obs")]
-            obs_stride: 1,
             #[cfg(feature = "audit")]
-            merged_auditor: audit::global_config().map(Auditor::new),
-            final_cycle: 0,
+            auditor: audit::global_config().map(Auditor::new),
         }
     }
 
-    /// Attaches a fault schedule to every shard (each applies the same
-    /// events and rebuilds the same degraded table — repair is
+    /// Splits the routers into `threads` contiguous shards (clamped to
+    /// `[1, switches]`), each advanced by its own worker thread. Results
+    /// are byte-identical at any count. Every shard starts as a copy of
+    /// the one shard built so far, so call this once, before
+    /// [`Self::run`] and before any test hook.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert_eq!(self.shards.len(), 1, "set the shard count once");
+        let n = self.graph.num_nodes();
+        let count = threads.clamp(1, n.max(1));
+        if count == 1 {
+            return self;
+        }
+        let base = self.shards.pop().expect("one shard").into_inner().expect("no prior panic");
+        assert_eq!(base.cycle, 0, "set the shard count before running");
+        let mut shard_of = vec![0u16; n];
+        self.bounds = (0..count)
+            .map(|s| {
+                let (lo, hi) = (s * n / count, (s + 1) * n / count);
+                shard_of[lo..hi].fill(s as u16);
+                (lo as NodeId, hi as NodeId)
+            })
+            .collect();
+        self.shard_of = Arc::new(shard_of);
+        self.shards = (self.bounds.iter().enumerate())
+            .map(|(s, &(lo, hi))| {
+                let mut shard = base.clone();
+                shard.set_shard(s as u16, count, lo, hi, Arc::clone(&self.shard_of));
+                Mutex::new(shard)
+            })
+            .collect();
+        self
+    }
+
+    /// Attaches a fault schedule. Must be called before [`Self::run`].
+    ///
+    /// Reserves two extra hop-indexed VCs (capped at the allocator's 32)
+    /// so rerouted and repaired paths slightly longer than the intact
+    /// table's diameter still fit; degraded-table paths exceeding even
+    /// that budget are trimmed when faults apply. Every shard applies
+    /// the same events and rebuilds the same degraded table — repair is
     /// deterministic in `(seed, cycle)` — but drains only the wires and
-    /// buffers it owns). Must be called before [`Self::run`].
+    /// buffers it owns.
     pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
-        self.cells = self
-            .cells
-            .into_iter()
-            .map(|m| {
-                let c = m.into_inner().expect("no prior panic");
-                Mutex::new(ShardCell {
-                    sim: c.sim.with_fault_plan(plan),
-                    acc: c.acc,
-                    generated: c.generated,
-                    ejected: c.ejected,
-                    window_cycles: c.window_cycles,
-                })
-            })
-            .collect();
+        for shard in &mut self.shards {
+            shard.get_mut().expect("no prior panic").attach_fault_plan(plan);
+        }
         self
     }
 
-    /// Attaches a traffic scenario to every shard (each advances the
-    /// same phase schedule but injects and tracks only the hosts it
-    /// owns). Must be called before [`Self::run`].
+    /// Attaches a scenario plan driving phased traffic: steady
+    /// open-loop regimes, Poisson flow arrivals with bounded-Pareto
+    /// sizes, and explicitly scheduled flows. Must be called before
+    /// [`Self::run`]. Until the plan's first phase starts the simulator
+    /// injects nothing, regardless of the constructor's rate and
+    /// pattern; a steady phase literally installs its rate and matrix
+    /// into the legacy injection path, so a single steady phase at
+    /// cycle 0 reproduces a static-pattern run byte-identically. Every
+    /// shard advances the same phase schedule but injects and tracks
+    /// only the hosts it owns.
+    ///
+    /// # Panics
+    /// Panics if an explicit flow references a host outside the
+    /// topology.
     pub fn with_scenario(mut self, plan: &'a ScenarioPlan) -> Self {
-        self.cells = self
-            .cells
-            .into_iter()
-            .map(|m| {
-                let c = m.into_inner().expect("no prior panic");
-                Mutex::new(ShardCell {
-                    sim: c.sim.with_scenario(plan),
-                    acc: c.acc,
-                    generated: c.generated,
-                    ejected: c.ejected,
-                    window_cycles: c.window_cycles,
-                })
-            })
-            .collect();
+        for shard in &mut self.shards {
+            shard.get_mut().expect("no prior panic").attach_scenario(plan);
+        }
         self
     }
 
-    /// Merged flow-level accounting across all shards. `None` unless a
-    /// scenario was attached. Call after [`Self::run`].
+    /// Flow-level accounting for a scenario run; `None` when no plan is
+    /// attached. Call after [`Self::run`].
     ///
     /// Flow generation, completion, and FCT recording all happen on a
     /// single shard (the source shard generates, the destination shard
     /// ejects), so sums and histogram merges are exact; a dropped flow
     /// is counted once even if its packets died on several shards.
     pub fn flow_stats(&self) -> Option<FlowStats> {
-        let mut generated = 0u64;
-        let mut completed = 0u64;
-        let mut fct_sum = 0u64;
-        let mut fct_hist = LogHistogram::new();
-        let mut dropped: HashSet<u64> = HashSet::new();
-        for m in &self.cells {
-            let cell = m.lock().expect("no prior panic");
-            let sc = cell.sim.scenario.as_ref()?;
-            generated += sc.flows_generated;
-            completed += sc.flows_completed;
-            fct_sum += sc.fct_sum;
+        let guards: Vec<MutexGuard<'_, Shard<'a>>> =
+            self.shards.iter().map(|m| m.lock().expect("no prior panic")).collect();
+        let scenarios: Vec<&ScenarioState<'a>> =
+            guards.iter().map(|g| g.scenario.as_ref()).collect::<Option<_>>()?;
+        let generated: u64 = scenarios.iter().map(|sc| sc.flows_generated).sum();
+        let completed: u64 = scenarios.iter().map(|sc| sc.flows_completed).sum();
+        let fct_sum = scenarios.iter().map(|sc| sc.fct_sum).sum();
+        let mut fct_hist = scenarios[0].fct_hist.clone();
+        for sc in &scenarios[1..] {
             fct_hist.merge(&sc.fct_hist);
-            dropped.extend(sc.dropped_flows.iter().copied());
         }
+        let dropped: HashSet<u64> =
+            scenarios.iter().flat_map(|sc| sc.dropped_flows.iter().copied()).collect();
         let dropped = dropped.len() as u64;
         Some(FlowStats {
             generated,
@@ -383,132 +378,140 @@ impl<'a> ParallelSimulator<'a> {
 
     /// Number of virtual channels in use (hop-indexed).
     pub fn num_vcs(&self) -> usize {
-        self.cells[0].lock().expect("no prior panic").sim.num_vcs
+        self.shards[0].lock().expect("no prior panic").num_vcs
     }
 
-    /// Attaches a per-cycle occupancy/credit-stall sampler, exactly as
-    /// [`Simulator::with_observer`]: one observer samples the assembled
-    /// global credit state at the top of each stride cycle. Observation
-    /// never perturbs the run.
+    /// Attaches a per-cycle occupancy/credit-stall sampler. Must be
+    /// called before [`Self::run`]; collect the report afterwards with
+    /// [`Self::take_metrics`]. One observer samples the assembled global
+    /// credit state at the top of each stride cycle. Observation never
+    /// perturbs the simulation itself — results stay byte-identical with
+    /// and without it.
     #[cfg(feature = "obs")]
     pub fn with_observer(mut self, cfg: ObserveConfig) -> Self {
-        let (links, vcs) = {
-            let cell = self.cells[0].lock().expect("no prior panic");
-            (cell.sim.graph.num_links(), cell.sim.num_vcs)
-        };
-        self.obs_stride = cfg.stride;
-        self.observer = Some(SimObserver::new(cfg, links, vcs));
+        self.observer = Some(SimObserver::new(cfg, self.graph.num_links(), self.num_vcs()));
         self
     }
 
-    /// Detaches the observer and returns its report. `None` if no
-    /// observer was attached. Call after [`Self::run`].
+    /// Detaches the observer and returns its report (per-link/per-VC
+    /// occupancy and credit-stall time series, link utilizations, the
+    /// latency histogram). `None` if no observer was attached. Call
+    /// after [`Self::run`].
     #[cfg(feature = "obs")]
     pub fn take_metrics(&mut self) -> Option<SimMetrics> {
         let obs = self.observer.take()?;
-        let measured =
-            u64::from(self.final_cycle.saturating_sub(self.cells_cfg().warmup_cycles)).max(1);
-        let links = self.graph.num_links();
-        let mut link_sends = vec![0u64; links];
+        let final_cycle = self.shards[0].get_mut().expect("no prior panic").cycle;
+        let measured = u64::from(final_cycle.saturating_sub(self.cfg.warmup_cycles)).max(1);
+        let mut link_sends = vec![0u64; self.graph.num_links()];
         let mut hist = LogHistogram::new();
-        for m in &self.cells {
-            let cell = m.lock().expect("no prior panic");
-            for (acc, &s) in link_sends.iter_mut().zip(&cell.sim.link_sends) {
+        for m in &self.shards {
+            let shard = m.lock().expect("no prior panic");
+            for (acc, &s) in link_sends.iter_mut().zip(&shard.link_sends) {
                 *acc += s;
             }
-            hist.merge(&cell.sim.lat_hist);
+            hist.merge(&shard.lat_hist);
         }
         let utils = link_sends.iter().map(|&s| s as f64 / measured as f64).collect();
         Some(obs.into_metrics(utils, hist))
     }
 
-    /// Attaches the runtime invariant auditor to every shard (flight
-    /// recording stays shard-local; the invariant checks run globally
-    /// over the merged state each cycle). Must be called before
-    /// [`Self::run`].
+    /// Attaches the runtime invariant auditor. Must be called before
+    /// [`Self::run`]. Each shard records its own flight-recorder events;
+    /// the invariant checks run over the merged state each cycle.
+    /// Auditing never perturbs the simulation — results stay
+    /// byte-identical with and without it — and a broken invariant
+    /// panics with a structured [`Violation`] diagnostic including the
+    /// flight-recorder dump.
     #[cfg(feature = "audit")]
     pub fn with_auditor(mut self, cfg: AuditConfig) -> Self {
-        for m in &self.cells {
-            let mut cell = m.lock().expect("no prior panic");
-            assert_eq!(cell.sim.cycle, 0, "attach auditors before running");
-            cell.sim.auditor = Some(Auditor::new(cfg));
+        for m in &mut self.shards {
+            let shard = m.get_mut().expect("no prior panic");
+            assert_eq!(shard.cycle, 0, "attach auditors before running");
+            shard.auditor = Some(Auditor::new(cfg));
         }
-        self.merged_auditor = Some(Auditor::new(cfg));
+        self.auditor = Some(Auditor::new(cfg));
         self
     }
 
-    /// Test hook (`audit` feature): corrupts one credit counter on its
-    /// owning shard so seeded-violation tests can verify the merged
-    /// auditor catches it.
+    /// The shard owning router `r`, for the test hooks.
+    #[cfg(feature = "audit")]
+    fn owner(&mut self, r: NodeId) -> &mut Shard<'a> {
+        let s = self.shard_of[r as usize] as usize;
+        self.shards[s].get_mut().expect("no prior panic")
+    }
+
+    /// Test hook (`audit` feature): corrupts one credit counter so the
+    /// seeded-violation tests can verify the auditor catches it.
     #[cfg(feature = "audit")]
     #[doc(hidden)]
     pub fn audit_corrupt_credit(&mut self, link: LinkId, vc: u16) {
-        let owner = self.shard_of[self.graph.link_src(link) as usize] as usize;
-        self.cells[owner].lock().expect("no prior panic").sim.audit_corrupt_credit(link, vc);
+        let shard = self.owner(self.graph.link_src(link));
+        let qi = shard.qi(link, vc) as usize;
+        shard.credits[qi] -= 1;
     }
 
     /// Test hook (`audit` feature): inflates one router's load counter
-    /// on its owning shard.
+    /// so the seeded-violation tests can verify `router-load` fires.
     #[cfg(feature = "audit")]
     #[doc(hidden)]
     pub fn audit_corrupt_router_load(&mut self, router: NodeId) {
-        let owner = self.shard_of[router as usize] as usize;
-        self.cells[owner].lock().expect("no prior panic").sim.audit_corrupt_router_load(router);
+        self.owner(router).rtr_load[router as usize] += 1;
     }
 
     /// Test hook (`audit` feature): permanently blocks a host's
-    /// ejection port on its owning shard.
+    /// ejection port so the watchdog tests can manufacture a livelock.
     #[cfg(feature = "audit")]
     #[doc(hidden)]
     pub fn audit_block_ejection(&mut self, host: u32) {
-        let owner = self.shard_of[self.params.switch_of_host(host as usize) as usize] as usize;
-        self.cells[owner].lock().expect("no prior panic").sim.audit_block_ejection(host);
+        let port = self.graph.num_links() + host as usize;
+        self.owner(self.params.switch_of_host(host as usize)).out_free[port] = u32::MAX;
     }
 
-    /// Test hook (`audit` feature): inflates one shard's completed-flow
-    /// counter so seeded-violation tests can verify the merged
-    /// flow-conservation check catches it.
+    /// Test hook (`audit` feature): forges a completed-flow count so
+    /// the seeded-violation tests can verify flow conservation fires.
     #[cfg(feature = "audit")]
     #[doc(hidden)]
     pub fn audit_phantom_completion(&mut self) {
-        self.cells[0].lock().expect("no prior panic").sim.audit_phantom_completion();
+        self.first_scenario().flows_completed += 1;
     }
 
-    /// Test hook (`audit` feature): records an FCT sample on one shard
-    /// with no matching completed flow.
+    /// Test hook (`audit` feature): records a spurious FCT sample so
+    /// the seeded-violation tests can verify FCT accounting fires.
     #[cfg(feature = "audit")]
     #[doc(hidden)]
     pub fn audit_spurious_fct(&mut self) {
-        self.cells[0].lock().expect("no prior panic").sim.audit_spurious_fct();
+        let sc = self.first_scenario();
+        sc.fct_hist.record(1);
+        sc.fct_sum += 1;
     }
 
-    fn cells_cfg(&self) -> SimConfig {
-        self.cells[0].lock().expect("no prior panic").sim.cfg
+    /// Shard 0's scenario state, for the test hooks.
+    #[cfg(feature = "audit")]
+    fn first_scenario(&mut self) -> &mut ScenarioState<'a> {
+        let shard = self.shards[0].get_mut().expect("no prior panic");
+        shard.scenario.as_mut().expect("hook needs an attached scenario")
     }
 
-    /// Runs the configured warmup + measurement schedule across all
-    /// shards and returns the merged result — byte-identical to
-    /// [`Simulator::run`] for the same seed.
+    /// Runs the configured warmup + measurement schedule and returns the
+    /// merged result.
+    ///
+    /// Terminates early once saturation is certain (a closed sample
+    /// window exceeded the latency threshold, or a source queue
+    /// overflowed): the run is already classified, and saturated runs
+    /// otherwise accumulate millions of queued packets for no
+    /// information. Non-saturated runs are unaffected.
     ///
     /// # Panics
-    /// Panics with the serial engine's structured [`Violation`]
-    /// rendering (a `String` payload) when auditing detects a broken
-    /// invariant, and propagates any worker panic after poisoning the
-    /// barrier.
+    /// Panics with the structured [`Violation`] rendering (a `String`
+    /// payload) when auditing detects a broken invariant, and propagates
+    /// any worker panic after poisoning the barrier.
     pub fn run(&mut self) -> RunResult {
-        let _run_span = jellyfish_obs::span("flitsim.parallel.run");
-        let shards = self.cells.len();
-        let cfg = self.cells_cfg();
-        let audit_enabled = {
-            #[cfg(feature = "audit")]
-            {
-                self.cells[0].lock().expect("no prior panic").sim.auditor.is_some()
-            }
-            #[cfg(not(feature = "audit"))]
-            {
-                false
-            }
-        };
+        let _run_span = jellyfish_obs::span("flitsim.sim.run");
+        let shards = self.shards.len();
+        #[cfg(feature = "audit")]
+        let audit_enabled = self.auditor.is_some();
+        #[cfg(not(feature = "audit"))]
+        let audit_enabled = false;
         let make_flit_lane = || [Mutex::new(Vec::new()), Mutex::new(Vec::new())];
         let make_cred_lane = || [Mutex::new(Vec::new()), Mutex::new(Vec::new())];
         let flit_in: Vec<Vec<FlitLane>> =
@@ -521,7 +524,7 @@ impl<'a> ParallelSimulator<'a> {
         let decision = AtomicU8::new(DEC_RUN);
         let violation: Mutex<Option<String>> = Mutex::new(None);
         let shared = Shared {
-            cells: &self.cells,
+            cells: &self.shards,
             flit_in: &flit_in,
             cred_in: &cred_in,
             barrier: &barrier,
@@ -529,7 +532,7 @@ impl<'a> ParallelSimulator<'a> {
             decision: &decision,
             violation: &violation,
             audit_enabled,
-            cfg,
+            cfg: self.cfg,
             graph: self.graph,
             params: self.params,
             shard_of: &self.shard_of,
@@ -537,17 +540,15 @@ impl<'a> ParallelSimulator<'a> {
             #[cfg(feature = "obs")]
             has_observer: self.observer.is_some(),
             #[cfg(feature = "obs")]
-            obs_stride: self.obs_stride,
+            obs_stride: self.observer.as_ref().map_or(1, SimObserver::stride),
         };
-        #[cfg(feature = "obs")]
-        let credit_slots = self.graph.num_links() * self.num_vcs_uncontended();
         let mut coord = CoordState {
             #[cfg(feature = "audit")]
-            auditor: self.merged_auditor.as_mut(),
+            auditor: self.auditor.as_mut(),
             #[cfg(feature = "obs")]
             observer: self.observer.as_mut(),
             #[cfg(feature = "obs")]
-            credits: vec![0; credit_slots],
+            credits: Vec::new(),
             _pd: std::marker::PhantomData,
         };
 
@@ -560,96 +561,83 @@ impl<'a> ParallelSimulator<'a> {
         });
 
         if let Some(msg) = violation.into_inner().expect("no prior panic") {
-            // Reproduce the serial engine's `panic!("{violation}")`: a
-            // `String` payload carrying the structured diagnostic.
+            // A `String` payload carrying the structured diagnostic, as
+            // `panic!("{violation}")` would raise.
             std::panic::panic_any(msg);
         }
 
-        self.final_cycle = final_t;
         let leftover_flits = count_inbox_flits(&flit_in);
-        self.finalize(cfg, final_t, exit_sat, leftover_flits)
+        self.finalize(final_t, exit_sat, leftover_flits)
     }
 
-    /// `num_vcs` without the pub accessor's lock-in-lock hazard.
-    #[cfg(feature = "obs")]
-    fn num_vcs_uncontended(&self) -> usize {
-        self.cells[0].lock().expect("no prior panic").sim.num_vcs
-    }
-
-    /// Merges the per-shard accumulators into the exact serial
-    /// [`RunResult`].
-    fn finalize(
-        &mut self,
-        cfg: SimConfig,
-        final_t: u32,
-        exit_sat: bool,
-        leftover_flits: u64,
-    ) -> RunResult {
-        let mut guards: Vec<MutexGuard<'_, ShardCell<'a>>> =
-            self.cells.iter().map(|m| m.lock().expect("no prior panic")).collect();
+    /// Merges the per-shard accumulators into the run's [`RunResult`].
+    fn finalize(&mut self, final_t: u32, exit_sat: bool, leftover_flits: u64) -> RunResult {
+        let cfg = self.cfg;
+        let guards: Vec<MutexGuard<'_, Shard<'a>>> =
+            self.shards.iter().map(|m| m.lock().expect("no prior panic")).collect();
         let mut acc = SampleAccumulator::default();
         for g in &guards {
             acc.merge_from(&g.acc);
         }
-        // An early exit can leave a partially measured window open;
-        // close it exactly as the serial engine does.
-        if guards[0].window_cycles > 0 {
+        // An early exit can leave a partially measured window open; its
+        // packets already fed the overall mean and the ejected count, so
+        // close it — otherwise the trailing window silently vanishes from
+        // `sample_latencies`.
+        let measured_cycles = u64::from(final_t.saturating_sub(cfg.warmup_cycles));
+        if acc.closed_windows() as u64 * u64::from(cfg.sample_cycles) < measured_cycles {
             acc.end_window();
         }
-        let generated: u64 = guards.iter().map(|g| g.generated).sum();
-        let ejected: u64 = guards.iter().map(|g| g.ejected).sum();
-        debug_assert_eq!(acc.total_ejected(), ejected);
+        let generated: u64 = guards.iter().map(|g| g.measured_generated).sum();
+        let ejected = acc.total_ejected();
 
         let sample_latencies = acc.window_means();
+        // Same guarded empty-window verdict as the early-exit check: an
+        // all-NaN run whose packets never left the source queues (or
+        // never existed) is idle, not saturated.
         let stalled = merged_stalled(&guards, &cfg, final_t, leftover_flits);
-        let overflowed = guards.iter().any(|g| g.sim.overflowed);
+        let overflowed = guards.iter().any(|g| g.overflowed);
         let saturated = exit_sat
             || overflowed
             || sample_latencies
                 .iter()
                 .any(|m| m.is_nan() && stalled || *m > cfg.saturation_latency);
         #[cfg(all(feature = "audit", feature = "obs"))]
-        if let Some(aud) = &self.merged_auditor {
+        if let Some(aud) = &self.auditor {
             let _span = jellyfish_obs::span("flitsim.audit.report");
-            let events: u64 = guards
-                .iter()
-                .map(|g| g.sim.auditor.as_ref().map_or(0, |a| a.events_recorded()))
-                .sum();
+            let events: u64 =
+                guards.iter().map(|g| g.auditor.as_ref().map_or(0, |a| a.events_recorded())).sum();
             let mut reg = jellyfish_obs::global();
             reg.counter_add("flitsim.audit.cycles", aud.cycles_checked());
             reg.counter_add("flitsim.audit.events", events);
         }
-        let measured_cycles = u64::from(final_t.saturating_sub(cfg.warmup_cycles));
+        // Normalize rates by the cycles actually measured, not by the
+        // configured measurement length: early termination would
+        // otherwise deflate `accepted` and every link utilization.
         let meas_cycles = measured_cycles.max(1) as f64;
-        let links = self.graph.num_links();
-        let mut link_sends = vec![0u64; links];
-        let mut hop_hist = vec![0u64; guards[0].sim.hop_hist.len()];
-        let mut lat_hist = LogHistogram::new();
-        let mut min_lat = u64::MAX;
-        let mut max_lat = 0u64;
-        let mut dropped = 0u64;
-        let mut rerouted = 0u64;
-        for g in guards.iter_mut() {
-            for (acc_s, &s) in link_sends.iter_mut().zip(&g.sim.link_sends) {
+        let mut link_sends = guards[0].link_sends.clone();
+        let mut hop_hist = guards[0].hop_hist.clone();
+        let mut lat_hist = guards[0].lat_hist.clone();
+        for g in &guards[1..] {
+            for (acc_s, &s) in link_sends.iter_mut().zip(&g.link_sends) {
                 *acc_s += s;
             }
-            for (acc_h, &h) in hop_hist.iter_mut().zip(&g.sim.hop_hist) {
+            for (acc_h, &h) in hop_hist.iter_mut().zip(&g.hop_hist) {
                 *acc_h += h;
             }
-            lat_hist.merge(&g.sim.lat_hist);
-            min_lat = min_lat.min(g.sim.min_lat);
-            max_lat = max_lat.max(g.sim.max_lat);
-            dropped += g.sim.dropped;
-            rerouted += g.sim.rerouted;
+            lat_hist.merge(&g.lat_hist);
         }
+        let min_lat = guards.iter().map(|g| g.min_lat).min().expect("at least one shard");
+        let max_lat = guards.iter().map(|g| g.max_lat).max().expect("at least one shard");
+        let dropped = guards.iter().map(|g| g.dropped).sum();
+        let rerouted = guards.iter().map(|g| g.rerouted).sum();
         let utils: Vec<f64> = link_sends.iter().map(|&s| s as f64 / meas_cycles).collect();
         let (p50, p90, p99, p999) = lat_hist.percentiles();
         RunResult {
             // Scenario steady phases retune each shard's injection rate
             // mid-run; report the rate the run ended on (every shard
             // holds the same value — without a scenario it is the
-            // constructor's, matching the serial engine either way).
-            offered: guards[0].sim.rate,
+            // constructor's).
+            offered: guards[0].rate,
             accepted: ejected as f64 / (self.params.num_hosts() as f64 * meas_cycles),
             avg_latency: acc.overall_mean(),
             sample_latencies,
@@ -685,31 +673,35 @@ fn count_inbox_flits(flit_in: &[Vec<FlitLane>]) -> u64 {
     n
 }
 
-/// The merged `stalled_in_network` verdict at cycle `cycle`: traffic
-/// has flowed, nothing ejected within the zero-load flight bound, and
-/// live packets sit in the network proper (shard arenas plus boundary
-/// inboxes) rather than only in source queues.
+/// True at cycle `cycle` when traffic has flowed (>= 1 ejection ever),
+/// no packet has ejected for longer than the zero-load flight bound,
+/// and live packets occupy the network proper — input buffers, wires
+/// or boundary inboxes — rather than only source queues. Gates the
+/// empty-sample-window saturation verdict: during startup (no warmup,
+/// windows shorter than the flight time) empty windows are legitimate,
+/// not saturation. For realistic configurations (`sample_cycles` well
+/// above the flight bound) the verdict is unchanged.
 fn merged_stalled(
-    guards: &[MutexGuard<'_, ShardCell<'_>>],
+    guards: &[MutexGuard<'_, Shard<'_>>],
     cfg: &SimConfig,
     cycle: u32,
     inbox_flits: u64,
 ) -> bool {
-    let ejected_total: u64 = guards.iter().map(|g| g.sim.ejected_total).sum();
+    let ejected_total: u64 = guards.iter().map(|g| g.ejected_total).sum();
     if ejected_total == 0 {
         return false;
     }
-    let num_vcs = guards[0].sim.num_vcs;
+    let num_vcs = guards[0].num_vcs;
     let flight = (cfg.channel_latency as u64 + cfg.packet_flits as u64) * (num_vcs as u64 + 1);
-    let last_ejection = guards.iter().map(|g| g.sim.last_ejection).max().unwrap_or(0);
+    let last_ejection = guards.iter().map(|g| g.last_ejection).max().unwrap_or(0);
     if u64::from(cycle.saturating_sub(last_ejection)) <= flight {
         return false;
     }
     let src_queued: usize = guards
         .iter()
-        .map(|g| g.sim.src_q.iter().map(std::collections::VecDeque::len).sum::<usize>())
+        .map(|g| g.src_q.iter().map(std::collections::VecDeque::len).sum::<usize>())
         .sum();
-    let live: u64 = guards.iter().map(|g| g.sim.arena.live() as u64).sum::<u64>() + inbox_flits;
+    let live: u64 = guards.iter().map(|g| g.arena.live() as u64).sum::<u64>() + inbox_flits;
     live > src_queued as u64
 }
 
@@ -722,11 +714,12 @@ fn worker(sh: &Shared<'_, '_>, s: usize, mut coord: Option<&mut CoordState<'_>>)
     let shards = sh.cells.len();
     let total = sh.cfg.total_cycles();
     let warmup = sh.cfg.warmup_cycles;
-    let mut bw_hist = LogHistogram::new();
+    // Barrier waits are timed while tracing; a lone shard's barrier
+    // never waits, so it is not.
     #[cfg(feature = "obs")]
-    let time_barrier = jellyfish_obs::trace::enabled();
+    let mut barrier_wait = (shards > 1 && jellyfish_obs::trace::enabled()).then(LogHistogram::new);
     #[cfg(not(feature = "obs"))]
-    let time_barrier = false;
+    let mut barrier_wait: Option<LogHistogram> = None;
     let mut t: u32 = 0;
     let mut exit_sat = false;
     let final_t = loop {
@@ -736,9 +729,9 @@ fn worker(sh: &Shared<'_, '_>, s: usize, mut coord: Option<&mut CoordState<'_>>)
         let measuring = t >= warmup;
         // Observer sampling at the top of the cycle: the coordinator
         // assembles the global credit state while every worker is
-        // parked between barriers, so the sample equals the serial
-        // engine's top-of-cycle view (in-transit credit returns are
-        // unapplied in both engines at this point).
+        // parked between barriers, so the sample is the same
+        // top-of-cycle view at any shard count (in-transit credit
+        // returns are still unapplied).
         #[cfg(feature = "obs")]
         if sh.has_observer && measuring && (t - warmup).is_multiple_of(sh.obs_stride) {
             if let Some(c) = coord.as_deref_mut() {
@@ -751,70 +744,90 @@ fn worker(sh: &Shared<'_, '_>, s: usize, mut coord: Option<&mut CoordState<'_>>)
         {
             let mut cell = sh.cells[s].lock().expect("no prior panic");
             let cell = &mut *cell;
+            // Per-cycle stage spans for the trace timeline: strided so a
+            // full sweep stays within the tracing overhead budget.
             #[cfg(feature = "obs")]
-            let _shard_span = (time_barrier
-                && t.is_multiple_of(jellyfish_obs::trace::cycle_stride()))
-            .then(|| jellyfish_obs::trace::span("flitsim.shard.cycle"));
-            // 0. Drain last cycle's boundary messages into the delay
-            //    lines, before faults apply (so no message is in
-            //    transit when wires are cut).
-            let rx = (t as usize + 1) % 2;
-            for x in 0..shards {
-                if x == s {
-                    continue;
+            let trace_cycle = jellyfish_obs::trace::enabled()
+                && t.is_multiple_of(jellyfish_obs::trace::cycle_stride());
+            #[cfg(feature = "obs")]
+            let _shard_span = (shards > 1 && trace_cycle)
+                .then(|| jellyfish_obs::trace::span("flitsim.shard.cycle"));
+            {
+                #[cfg(feature = "obs")]
+                let _t = trace_cycle.then(|| jellyfish_obs::trace::span("flitsim.cycle.traverse"));
+                // 0. Drain last cycle's boundary messages into the delay
+                //    lines, before faults apply (so no message is in
+                //    transit when wires are cut).
+                let rx = (t as usize + 1) % 2;
+                for x in 0..shards {
+                    if x == s {
+                        continue;
+                    }
+                    let msgs =
+                        std::mem::take(&mut *sh.flit_in[s][x][rx].lock().expect("no prior panic"));
+                    for m in msgs {
+                        cell.accept_flit(m);
+                    }
+                    let creds =
+                        std::mem::take(&mut *sh.cred_in[s][x][rx].lock().expect("no prior panic"));
+                    for m in creds {
+                        cell.accept_credit(m);
+                    }
                 }
-                let msgs =
-                    std::mem::take(&mut *sh.flit_in[s][x][rx].lock().expect("no prior panic"));
-                for m in msgs {
-                    cell.sim.accept_flit(m);
-                }
-                let creds =
-                    std::mem::take(&mut *sh.cred_in[s][x][rx].lock().expect("no prior panic"));
-                for m in creds {
-                    cell.sim.accept_credit(m);
-                }
+                // 1. Cut links/switches whose failure time is due, before
+                //    the wire delivers: packets on a cut wire are lost.
+                cell.apply_pending_faults();
+                // 2. Switch traffic regimes and register explicit flows
+                //    due this cycle, before injection sees them.
+                cell.apply_pending_scenario();
+                // 3. Deliver channel arrivals and credit returns due now.
+                cell.deliver_due();
             }
-            // 1-3. The serial per-cycle schedule over this shard.
-            cell.sim.apply_pending_faults();
-            cell.sim.apply_pending_scenario();
-            cell.sim.deliver_due();
-            cell.sim.generate(measuring, &mut cell.generated);
-            cell.sim.allocate(measuring, &mut cell.acc, &mut cell.ejected);
-            // 4. Flush boundary traffic into the receivers' inboxes.
+            {
+                #[cfg(feature = "obs")]
+                let _t = trace_cycle.then(|| jellyfish_obs::trace::span("flitsim.cycle.inject"));
+                // 4. Inject new traffic.
+                cell.generate(measuring);
+            }
+            {
+                #[cfg(feature = "obs")]
+                let _t = trace_cycle.then(|| jellyfish_obs::trace::span("flitsim.cycle.allocate"));
+                // 5. Switch allocation + transfers.
+                cell.allocate(measuring);
+            }
+            // 6. Flush boundary traffic into the receivers' inboxes.
             let tx = t as usize % 2;
             for d in 0..shards {
                 if d == s {
                     continue;
                 }
-                if !cell.sim.out_flits[d].is_empty() {
+                if !cell.out_flits[d].is_empty() {
                     sh.flit_in[d][s][tx]
                         .lock()
                         .expect("no prior panic")
-                        .append(&mut cell.sim.out_flits[d]);
+                        .append(&mut cell.out_flits[d]);
                 }
-                if !cell.sim.out_creds[d].is_empty() {
+                if !cell.out_creds[d].is_empty() {
                     sh.cred_in[d][s][tx]
                         .lock()
                         .expect("no prior panic")
-                        .append(&mut cell.sim.out_creds[d]);
+                        .append(&mut cell.out_creds[d]);
                 }
             }
-            if measuring {
-                cell.window_cycles += 1;
-            }
-            sh.overflow[s][tx].store(cell.sim.overflowed, Ordering::Release);
+            sh.overflow[s][tx].store(cell.overflowed, Ordering::Release);
             if !special {
-                // On special cycles the bump is deferred so the merged
-                // audit sees the serial engine's pre-increment cycle.
-                cell.sim.cycle = t + 1;
+                // On special cycles `special_section` bumps it, after
+                // the audit has checked this cycle.
+                cell.cycle = t + 1;
             }
         }
-        if time_barrier {
-            let start = std::time::Instant::now();
-            sh.barrier.wait();
-            bw_hist.record(start.elapsed().as_nanos() as u64);
-        } else {
-            sh.barrier.wait();
+        match barrier_wait.as_mut() {
+            Some(hist) => {
+                let start = std::time::Instant::now();
+                sh.barrier.wait();
+                hist.record(start.elapsed().as_nanos() as u64);
+            }
+            None => sh.barrier.wait(),
         }
         let tx = t as usize % 2;
         if special {
@@ -822,12 +835,10 @@ fn worker(sh: &Shared<'_, '_>, s: usize, mut coord: Option<&mut CoordState<'_>>)
                 special_section(sh, c, t);
             }
             sh.barrier.wait();
-            let mut cell = sh.cells[s].lock().expect("no prior panic");
-            cell.sim.cycle = t + 1;
         }
-        // Exit logic in the serial engine's precedence: a violation
-        // verdict ends the run (the coordinator panics after the
-        // join), then source-queue overflow, then a saturated window.
+        // Exit precedence: a violation verdict ends the run (the
+        // coordinator panics after the join), then source-queue
+        // overflow, then a saturated window.
         if special && sh.decision.load(Ordering::Acquire) == DEC_VIOL {
             break t + 1;
         }
@@ -842,22 +853,23 @@ fn worker(sh: &Shared<'_, '_>, s: usize, mut coord: Option<&mut CoordState<'_>>)
         }
         t += 1;
     };
-    if bw_hist.count() > 0 {
-        jellyfish_obs::global().hist_merge("flitsim.parallel.barrier_wait_ns", &bw_hist);
+    if let Some(hist) = barrier_wait {
+        jellyfish_obs::global().hist_merge("flitsim.parallel.barrier_wait_ns", &hist);
     }
     (final_t, exit_sat)
 }
 
 /// Coordinator work at a special cycle (between the two barriers, with
 /// every worker parked): merged invariant audit, then the global
-/// window-close decision from the merged integer latency sums.
+/// window-close decision from the merged integer latency sums, then
+/// every shard's cycle bump.
 fn special_section(sh: &Shared<'_, '_>, coord: &mut CoordState<'_>, t: u32) {
-    let mut guards: Vec<MutexGuard<'_, ShardCell<'_>>> =
+    let mut shards: Vec<MutexGuard<'_, Shard<'_>>> =
         sh.cells.iter().map(|m| m.lock().expect("no prior panic")).collect();
     #[cfg(feature = "audit")]
     if sh.audit_enabled {
         if let Some(a) = coord.auditor.as_deref_mut() {
-            let verdict = merged_audit(sh, a, &mut guards, t);
+            let verdict = merged_audit(sh, a, &mut shards, t);
             a.bump_cycles_checked();
             if let Err(v) = verdict {
                 jellyfish_obs::journal::publish(
@@ -879,14 +891,13 @@ fn special_section(sh: &Shared<'_, '_>, coord: &mut CoordState<'_>, t: u32) {
     let tx = t as usize % 2;
     let any_overflow = (0..sh.cells.len()).any(|i| sh.overflow[i][tx].load(Ordering::Acquire));
     if closes && !any_overflow {
-        // Serial order: the overflow break precedes the window close,
-        // so an overflow at a window boundary leaves the window open
-        // for the trailing close in finalize.
+        // The overflow break precedes the window close, so an overflow
+        // at a window boundary leaves the window open for the trailing
+        // close in finalize.
         let mut sum = 0u64;
         let mut count = 0u64;
-        for g in guards.iter_mut() {
+        for g in shards.iter_mut() {
             g.acc.end_window();
-            g.window_cycles = 0;
             let (s, c) = g.acc.last_window_raw().unwrap_or((0, 0));
             sum += s;
             count += c;
@@ -894,22 +905,25 @@ fn special_section(sh: &Shared<'_, '_>, coord: &mut CoordState<'_>, t: u32) {
         let worst = if count == 0 { f64::NAN } else { sum as f64 / count as f64 };
         let inbox_flits = count_inbox_flits(sh.flit_in);
         let sat = worst > sh.cfg.saturation_latency
-            || (worst.is_nan() && merged_stalled(&guards, &sh.cfg, t + 1, inbox_flits));
+            || (worst.is_nan() && merged_stalled(&shards, &sh.cfg, t + 1, inbox_flits));
         sh.decision.store(if sat { DEC_SAT } else { DEC_RUN }, Ordering::Release);
     } else {
         sh.decision.store(DEC_RUN, Ordering::Release);
+    }
+    for g in shards.iter_mut() {
+        g.cycle = t + 1;
     }
 }
 
 /// Assembles the global credit array from the per-shard owned ranges
 /// (links of routers `[lo, hi)` are CSR-contiguous) and feeds the
-/// coordinator's observer, exactly as the serial top-of-cycle sample.
+/// coordinator's observer with the network's top-of-cycle credits.
 #[cfg(feature = "obs")]
 fn sample_observer(sh: &Shared<'_, '_>, coord: &mut CoordState<'_>, t: u32) {
     let Some(obs) = coord.observer.as_deref_mut() else { return };
-    let guards: Vec<MutexGuard<'_, ShardCell<'_>>> =
+    let guards: Vec<MutexGuard<'_, Shard<'_>>> =
         sh.cells.iter().map(|m| m.lock().expect("no prior panic")).collect();
-    let nv = guards[0].sim.num_vcs;
+    let nv = guards[0].num_vcs;
     let n = sh.graph.num_nodes();
     let links = sh.graph.num_links();
     coord.credits.resize(links * nv, 0);
@@ -920,7 +934,7 @@ fn sample_observer(sh: &Shared<'_, '_>, coord: &mut CoordState<'_>, t: u32) {
         let llo = sh.graph.out_links(lo).start as usize * nv;
         let lhi =
             if hi as usize == n { links * nv } else { sh.graph.out_links(hi).start as usize * nv };
-        coord.credits[llo..lhi].copy_from_slice(&g.sim.credits[llo..lhi]);
+        coord.credits[llo..lhi].copy_from_slice(&g.credits[llo..lhi]);
     }
     obs.maybe_sample(
         t - sh.cfg.warmup_cycles,
@@ -931,15 +945,16 @@ fn sample_observer(sh: &Shared<'_, '_>, coord: &mut CoordState<'_>, t: u32) {
     );
 }
 
-/// The global invariant checks over the merged shard state, replicating
-/// the serial `audit_invariants` order and diagnostic formats. Shard
-/// flight recorders are first replayed into the merged ring in cycle
-/// order so a violation dump reads as one coherent timeline.
+/// The end-of-cycle invariant checks over the merged shard state (see
+/// [`crate::audit`]), returning the first broken one. Read-only over
+/// simulator state apart from draining the shard flight recorders,
+/// which are replayed into the run's ring in cycle order so a violation
+/// dump reads as one coherent timeline.
 #[cfg(feature = "audit")]
 fn merged_audit(
     sh: &Shared<'_, '_>,
     a: &mut Auditor,
-    cells: &mut [MutexGuard<'_, ShardCell<'_>>],
+    cells: &mut [MutexGuard<'_, Shard<'_>>],
     cycle: u32,
 ) -> Result<(), Violation> {
     // Replay per-shard rings (each holds exactly this cycle's events —
@@ -947,7 +962,7 @@ fn merged_audit(
     let mut events: Vec<AuditEvent> = Vec::new();
     let mut anchor = 0u32;
     for c in cells.iter_mut() {
-        if let Some(sa) = c.sim.auditor.as_mut() {
+        if let Some(sa) = c.auditor.as_mut() {
             events.extend(sa.drain_ring());
             anchor = anchor.max(sa.last_progress());
         }
@@ -961,10 +976,10 @@ fn merged_audit(
     let inbox_flits = count_inbox_flits(sh.flit_in);
     // Packet conservation: every packet ever generated is ejected,
     // dropped, or live in a shard arena / boundary inbox...
-    let generated_total: u64 = cells.iter().map(|c| c.sim.generated_total).sum();
-    let ejected_total: u64 = cells.iter().map(|c| c.sim.ejected_total).sum();
-    let dropped: u64 = cells.iter().map(|c| c.sim.dropped).sum();
-    let live: u64 = cells.iter().map(|c| c.sim.arena.live() as u64).sum::<u64>() + inbox_flits;
+    let generated_total: u64 = cells.iter().map(|c| c.generated_total).sum();
+    let ejected_total: u64 = cells.iter().map(|c| c.ejected_total).sum();
+    let dropped: u64 = cells.iter().map(|c| c.dropped).sum();
+    let live: u64 = cells.iter().map(|c| c.arena.live() as u64).sum::<u64>() + inbox_flits;
     if generated_total != ejected_total + dropped + live {
         return Err(a.violation(
             "packet-conservation",
@@ -978,11 +993,11 @@ fn merged_audit(
     // ...and every live packet sits in exactly one queue (a boundary
     // inbox counts as the wire it is crossing).
     let src_queued: u64 =
-        cells.iter().map(|c| c.sim.src_q.iter().map(|q| q.len() as u64).sum::<u64>()).sum();
+        cells.iter().map(|c| c.src_q.iter().map(|q| q.len() as u64).sum::<u64>()).sum();
     let buffered: u64 =
-        cells.iter().map(|c| c.sim.in_buf.iter().map(|q| q.len() as u64).sum::<u64>()).sum();
+        cells.iter().map(|c| c.in_buf.iter().map(|q| q.len() as u64).sum::<u64>()).sum();
     let on_wire: u64 =
-        cells.iter().map(|c| c.sim.chan.iter().map(|s| s.len() as u64).sum::<u64>()).sum::<u64>()
+        cells.iter().map(|c| c.chan.iter().map(|s| s.len() as u64).sum::<u64>()).sum::<u64>()
             + inbox_flits;
     if live != src_queued + buffered + on_wire {
         return Err(a.violation(
@@ -997,15 +1012,14 @@ fn merged_audit(
     // Flow conservation and FCT accounting across shards: a flow is
     // generated on its source shard and completes on its destination
     // shard, but its packets may sit queued — or die — anywhere, so the
-    // live/dropped sets only exist merged. The serial check order and
-    // diagnostic formats are replicated exactly.
-    if cells[0].sim.scenario.is_some() {
+    // live/dropped sets only exist merged.
+    if cells[0].scenario.is_some() {
         let mut flows_generated = 0u64;
         let mut flows_completed = 0u64;
         let mut fct_count = 0u64;
         let mut dropped_set: HashSet<u64> = HashSet::new();
         for c in cells.iter() {
-            let sc = c.sim.scenario.as_ref().expect("every shard carries the scenario");
+            let sc = c.scenario.as_ref().expect("every shard carries the scenario");
             flows_generated += sc.flows_generated;
             flows_completed += sc.flows_completed;
             fct_count += sc.fct_hist.count();
@@ -1018,7 +1032,7 @@ fn merged_audit(
             }
         };
         for c in cells.iter() {
-            let sc = c.sim.scenario.as_ref().expect("every shard carries the scenario");
+            let sc = c.scenario.as_ref().expect("every shard carries the scenario");
             for q in &sc.active {
                 for f in q {
                     note(f.uid);
@@ -1027,19 +1041,19 @@ fn merged_audit(
             for &uid in sc.flow_eject.keys() {
                 note(uid);
             }
-            for q in &c.sim.src_q {
+            for q in &c.src_q {
                 for &pid in q {
-                    note(c.sim.arena.flow(pid));
+                    note(c.arena.flow(pid));
                 }
             }
-            for q in &c.sim.in_buf {
+            for q in &c.in_buf {
                 for &pid in q {
-                    note(c.sim.arena.flow(pid));
+                    note(c.arena.flow(pid));
                 }
             }
-            for slot in &c.sim.chan {
+            for slot in &c.chan {
                 for &(pid, _) in slot {
-                    note(c.sim.arena.flow(pid));
+                    note(c.arena.flow(pid));
                 }
             }
         }
@@ -1079,16 +1093,16 @@ fn merged_audit(
     // read from the link sender's owning shard (other shards hold the
     // untouched initial value); buffered/in-flight tallies sum across
     // shards and boundary inboxes (non-owned entries are empty).
-    let num_vcs = cells[0].sim.num_vcs;
-    let nq = cells[0].sim.in_buf.len();
+    let num_vcs = cells[0].num_vcs;
+    let nq = cells[0].in_buf.len();
     a.reset_scratch(nq);
     for c in cells.iter() {
-        for slot in &c.sim.chan {
+        for slot in &c.chan {
             for &(_, qi) in slot {
                 a.chan_in_flight[qi as usize] += 1;
             }
         }
-        for slot in &c.sim.cred {
+        for slot in &c.cred {
             for &qi in slot {
                 a.cred_pending[qi as usize] += 1;
             }
@@ -1115,15 +1129,15 @@ fn merged_audit(
     let flits = sh.cfg.packet_flits as u64;
     for qi in 0..nq {
         let link = (qi / num_vcs) as LinkId;
-        if let Some(view) = &cells[0].sim.fault_view {
+        if let Some(view) = &cells[0].fault_view {
             if !view.link_is_live(link) {
                 continue;
             }
         }
         let src_cell = sh.shard_of[sh.graph.link_src(link) as usize] as usize;
         let dst_cell = sh.shard_of[sh.graph.link_dst(link) as usize] as usize;
-        let credits = cells[src_cell].sim.credits[qi] as u64;
-        let in_buf_len = cells[dst_cell].sim.in_buf[qi].len();
+        let credits = cells[src_cell].credits[qi] as u64;
+        let in_buf_len = cells[dst_cell].in_buf[qi].len();
         let occupancy = in_buf_len as u64 + a.chan_in_flight[qi] as u64 + a.cred_pending[qi] as u64;
         let have = credits + flits * occupancy;
         if have != sh.cfg.vc_buffer as u64 {
@@ -1136,7 +1150,7 @@ fn merged_audit(
                      (buffered {} + on-wire {} + pending-returns {}) = {have}, \
                      want vc_buffer {}",
                     qi % num_vcs,
-                    cells[src_cell].sim.credits[qi],
+                    cells[src_cell].credits[qi],
                     in_buf_len,
                     a.chan_in_flight[qi],
                     a.cred_pending[qi],
@@ -1153,14 +1167,14 @@ fn merged_audit(
         let c = &cells[own];
         for vc in 0..num_vcs {
             let qi = link * num_vcs + vc;
-            let bit = c.sim.vc_occ[link] & (1 << vc) != 0;
-            if bit == c.sim.in_buf[qi].is_empty() {
+            let bit = c.vc_occ[link] & (1 << vc) != 0;
+            if bit == c.in_buf[qi].is_empty() {
                 return Err(a.violation(
                     "occupancy-mask",
                     cycle,
                     format!(
                         "link {link} vc {vc}: vc_occ bit {bit} but buffer holds {} packet(s)",
-                        c.sim.in_buf[qi].len()
+                        c.in_buf[qi].len()
                     ),
                 ));
             }
@@ -1169,29 +1183,29 @@ fn merged_audit(
     // rtr_load agrees with queue emptiness (checked on the router's
     // owning shard, which holds its input buffers and source queues).
     for r in 0..sh.graph.num_nodes() as NodeId {
-        cells[sh.shard_of[r as usize] as usize].sim.audit_router_load(a, r)?;
+        cells[sh.shard_of[r as usize] as usize].audit_router_load(a, r)?;
     }
-    // Route validity for every queued packet, walked in the serial
-    // order: source queues by host, input buffers by queue index, then
-    // wires (shard delay lines, then boundary inboxes).
+    // Route validity for every queued packet, walked in network order:
+    // source queues by host, input buffers by queue index, then wires
+    // (shard delay lines, then boundary inboxes).
     for h in 0..sh.params.num_hosts() {
         let own = sh.shard_of[sh.params.switch_of_host(h) as usize] as usize;
         let c = &cells[own];
-        for &pid in &c.sim.src_q[h] {
-            c.sim.audit_packet(a, pid, None, Some(h as u32))?;
+        for &pid in &c.src_q[h] {
+            c.audit_packet(a, pid, None, Some(h as u32))?;
         }
     }
     for qi in 0..nq {
         let own = sh.shard_of[sh.graph.link_dst((qi / num_vcs) as LinkId) as usize] as usize;
         let c = &cells[own];
-        for &pid in &c.sim.in_buf[qi] {
-            c.sim.audit_packet(a, pid, Some((qi as u32, false)), None)?;
+        for &pid in &c.in_buf[qi] {
+            c.audit_packet(a, pid, Some((qi as u32, false)), None)?;
         }
     }
     for c in cells.iter() {
-        for slot in &c.sim.chan {
+        for slot in &c.chan {
             for &(pid, qi) in slot {
-                c.sim.audit_packet(a, pid, Some((qi, true)), None)?;
+                c.audit_packet(a, pid, Some((qi, true)), None)?;
             }
         }
     }
@@ -1199,7 +1213,7 @@ fn merged_audit(
         for lane in row {
             for slot in lane {
                 for m in slot.lock().expect("no prior panic").iter() {
-                    audit_boundary_flit(sh, a, m, num_vcs, cells, cycle)?;
+                    cells[0].audit_boundary_flit(a, m)?;
                 }
             }
         }
@@ -1215,70 +1229,6 @@ fn merged_audit(
                 a.stall_cycles(cycle)
             ),
         ));
-    }
-    Ok(())
-}
-
-/// Route checks for a packet crossing a shard boundary (the message
-/// carries its route, so the checks mirror the serial on-wire case).
-#[cfg(feature = "audit")]
-fn audit_boundary_flit(
-    sh: &Shared<'_, '_>,
-    a: &mut Auditor,
-    m: &FlitMsg,
-    num_vcs: usize,
-    cells: &[MutexGuard<'_, ShardCell<'_>>],
-    cycle: u32,
-) -> Result<(), Violation> {
-    let link = (m.qi / num_vcs as u32) as LinkId;
-    let vc = m.qi as usize % num_vcs;
-    let hop = m.hop as usize;
-    if hop != vc + 1 {
-        return Err(a.violation(
-            "route-validity",
-            cycle,
-            format!("boundary pkt on link {link} vc {vc}: hop {hop} != vc + 1"),
-        ));
-    }
-    if hop >= m.path.len() || m.path[hop] != sh.graph.link_dst(link) {
-        return Err(a.violation(
-            "route-validity",
-            cycle,
-            format!(
-                "boundary pkt on link {link} (-> {}) but its route puts hop {hop} at {:?}",
-                sh.graph.link_dst(link),
-                m.path.get(hop)
-            ),
-        ));
-    }
-    if let Some(view) = &cells[0].sim.fault_view {
-        if !view.link_is_live(link) {
-            return Err(a.violation(
-                "route-validity",
-                cycle,
-                format!("boundary pkt flying on dead link {link}"),
-            ));
-        }
-    }
-    let hops_total = m.path.len().saturating_sub(1);
-    if hops_total > num_vcs {
-        return Err(a.violation(
-            "route-validity",
-            cycle,
-            format!(
-                "boundary pkt route of {hops_total} hops exceeds the {num_vcs} \
-                 hop-indexed VCs"
-            ),
-        ));
-    }
-    for w in m.path[hop..].windows(2) {
-        if sh.graph.link_id(w[0], w[1]).is_none() {
-            return Err(a.violation(
-                "route-validity",
-                cycle,
-                format!("boundary pkt route uses nonexistent edge {} -> {}", w[0], w[1]),
-            ));
-        }
     }
     Ok(())
 }
@@ -1328,7 +1278,7 @@ mod tests {
         let g = test_util::graph(p, 21);
         let t = test_util::all_pairs_table(p, 21, PathSelection::Ksp(4), 0);
         for threads in [1, 3, 5, 12, 64] {
-            let sim = ParallelSimulator::new(
+            let sim = Simulator::new(
                 &g,
                 p,
                 &t,
@@ -1337,49 +1287,17 @@ mod tests {
                 PacketDestinations::Uniform { num_hosts: p.num_hosts() },
                 0.1,
                 SimConfig::paper(),
-                threads,
-            );
+            )
+            .with_threads(threads);
             let covered: usize = sim.bounds.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
             assert_eq!(covered, 12);
             assert!(sim.bounds.iter().all(|&(lo, hi)| lo < hi), "{:?}", sim.bounds);
-            assert_eq!(sim.cells.len(), threads.min(12));
+            assert_eq!(sim.shards.len(), threads.min(12));
             for (s, &(lo, hi)) in sim.bounds.iter().enumerate() {
                 for r in lo..hi {
                     assert_eq!(sim.shard_of[r as usize] as usize, s);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn two_shards_match_serial_exactly() {
-        let p = RrgParams::new(12, 6, 4);
-        let g = test_util::graph(p, 21);
-        let t = test_util::all_pairs_table(p, 21, PathSelection::REdKsp(4), 0);
-        let pattern = PacketDestinations::Uniform { num_hosts: p.num_hosts() };
-        let cfg = SimConfig {
-            warmup_cycles: 100,
-            sample_cycles: 100,
-            num_samples: 3,
-            ..SimConfig::paper()
-        };
-        let serial =
-            Simulator::new(&g, p, &t, None, Mechanism::KspAdaptive, pattern.clone(), 0.15, cfg)
-                .run();
-        for threads in [1, 2, 4] {
-            let par = ParallelSimulator::new(
-                &g,
-                p,
-                &t,
-                None,
-                Mechanism::KspAdaptive,
-                pattern.clone(),
-                0.15,
-                cfg,
-                threads,
-            )
-            .run();
-            assert_eq!(par, serial, "thread count {threads} diverged");
         }
     }
 }

@@ -1,25 +1,24 @@
-//! The cycle-level simulator proper.
+//! Per-shard simulation state and the stages of one cycle.
 //!
-//! One [`Simulator`] instance runs one (topology, path table, mechanism,
-//! traffic, offered load) configuration. State is kept in flat arrays
-//! indexed by directed link id and VC so the per-cycle sweep stays cache
-//! friendly. A `Simulator` advances its *shard* of the network — by
-//! default the whole network (a serial run) — and [`crate::parallel`]
-//! runs one instance per thread over disjoint router ranges, exchanging
-//! boundary flits and credit returns once per cycle. Randomness is
-//! drawn from per-host and per-router streams, so the consumed
-//! sequence is a function of simulated state alone, never of the order
-//! shards execute: a fixed seed produces bit-identical results at any
-//! thread count. Sweeps additionally parallelize across runs in
+//! A [`crate::Simulator`] runs one (topology, path table, mechanism,
+//! traffic, offered load) configuration as one or more `Shard`s, each
+//! owning a contiguous router range and its hosts; the run loop in
+//! [`crate::parallel`] advances them in lockstep. A shard keeps its state
+//! in flat arrays indexed by directed link id and VC so the per-cycle
+//! sweep stays cache friendly, and stages traffic bound for another
+//! shard in outboxes that the run loop exchanges once per cycle. A lone
+//! shard owns the whole network and never stages anything. Randomness is
+//! drawn from per-host and per-router streams, so the consumed sequence
+//! is a function of simulated state alone, never of the order shards
+//! execute: a fixed seed produces bit-identical results at any shard
+//! count. Sweeps additionally parallelize across runs in
 //! [`crate::sweep`].
 
 #[cfg(feature = "audit")]
-use crate::audit::{self, AuditConfig, AuditEvent, Auditor, Violation};
+use crate::audit::{self, AuditEvent, Auditor, Violation};
 use crate::config::{EstimateForm, InjectionProcess, SimConfig};
 use crate::mechanism::Mechanism;
-#[cfg(feature = "obs")]
-use crate::observe::{ObserveConfig, SimMetrics, SimObserver};
-use crate::stats::{FlowStats, RunResult, SampleAccumulator};
+use crate::stats::SampleAccumulator;
 use jellyfish_obs::LogHistogram;
 use jellyfish_routing::PathTable;
 use jellyfish_topology::{DegradedGraph, FaultKind, FaultPlan, Graph, LinkId, NodeId, RrgParams};
@@ -53,7 +52,7 @@ pub(crate) type PacketId = u32;
 /// on every head-of-queue inspection, and a cross-shard hand-off is a
 /// few scalar copies plus a route-buffer move, never a clone. `path`
 /// buffers are recycled through the free list.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Arena {
     /// Network links traversed so far; also the VC for the next traversal.
     hop: Vec<u16>,
@@ -231,7 +230,7 @@ impl Arena {
 /// A packet crossing a shard boundary: everything the receiving shard
 /// needs to re-materialize it in its own arena. The route buffer is
 /// moved out of the sender's arena, not cloned.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FlitMsg {
     /// Absolute cycle the tail flit lands in the downstream buffer.
     pub(crate) arrive: u32,
@@ -268,7 +267,7 @@ pub(crate) struct ActiveFlow {
 }
 
 /// The traffic regime currently in force under a scenario plan.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum ScenarioMode {
     /// No injection (the state before the first phase, and explicit
     /// `idle` phases).
@@ -297,6 +296,7 @@ enum ScenarioMode {
 /// entries are touched only by the owning shard of the host involved
 /// (destination host for ejection tallies), so merged totals are exact
 /// and order-free.
+#[derive(Clone)]
 pub(crate) struct ScenarioState<'a> {
     plan: &'a ScenarioPlan,
     /// Next unapplied phase index in `plan`.
@@ -345,8 +345,10 @@ struct Request {
     packet: PacketId,
 }
 
-/// One simulation run.
-pub struct Simulator<'a> {
+/// One shard of a run: the state of the routers `[rtr_lo, rtr_hi)` and
+/// their hosts, plus this shard's part of the run's measurements.
+#[derive(Clone)]
+pub(crate) struct Shard<'a> {
     pub(crate) graph: &'a Graph,
     pub(crate) params: RrgParams,
     table: &'a PathTable,
@@ -372,7 +374,7 @@ pub struct Simulator<'a> {
     pub(crate) vc_occ: Vec<u32>,
     /// Per router: non-empty input VC queues plus non-empty source
     /// queues of its hosts. `allocate` skips routers at zero.
-    rtr_load: Vec<u32>,
+    pub(crate) rtr_load: Vec<u32>,
     /// Reverse direction of every directed link, so the cycle loop
     /// never searches the graph for it.
     rev_link: Vec<LinkId>,
@@ -389,7 +391,7 @@ pub struct Simulator<'a> {
     rr: Vec<u16>,
     /// First cycle each output is free again (multi-flit packets occupy
     /// an output for `packet_flits` cycles).
-    out_free: Vec<u32>,
+    pub(crate) out_free: Vec<u32>,
     /// Round-robin path counters per (src_sw, dst_sw) pair.
     rr_pair: HashMap<u64, u32>,
     /// Source-queue overflow observed (implies saturation).
@@ -405,10 +407,11 @@ pub struct Simulator<'a> {
     pub(crate) lat_hist: LogHistogram,
     pub(crate) min_lat: u64,
     pub(crate) max_lat: u64,
-    /// Per-cycle occupancy/credit-stall sampler, attached via
-    /// [`Simulator::with_observer`].
-    #[cfg(feature = "obs")]
-    pub(crate) observer: Option<SimObserver>,
+    /// Latencies of the packets ejected here while measuring, by sample
+    /// window.
+    pub(crate) acc: SampleAccumulator,
+    /// Packets injected here while measuring.
+    pub(crate) measured_generated: u64,
 
     /// Fault schedule driving mid-run link/switch failures, if any.
     fault_plan: Option<&'a FaultPlan>,
@@ -435,23 +438,24 @@ pub struct Simulator<'a> {
     /// Cycle of the most recent ejection (meaningful once
     /// `ejected_total > 0`).
     pub(crate) last_ejection: u32,
-    /// Per-cycle invariant auditor, attached via
-    /// [`Simulator::with_auditor`] or the global
-    /// [`crate::audit::install_global`] configuration.
+    /// Flight recorder of this shard's events, attached via
+    /// [`crate::Simulator::with_auditor`] or the global
+    /// [`crate::audit::install_global`] configuration; the run loop
+    /// merges it into the run's one auditor every cycle.
     #[cfg(feature = "audit")]
     pub(crate) auditor: Option<Auditor>,
 
     pub(crate) cycle: u32,
 
-    // Shard scope. A serial run owns every router and host; under
-    // `crate::parallel` each instance is narrowed to a disjoint router
-    // range via `set_shard` and boundary traffic is staged in the
-    // outboxes below until the cycle barrier.
+    // Shard scope. A lone shard owns every router and host; with more
+    // shards each is narrowed to a disjoint router range via `set_shard`
+    // and boundary traffic is staged in the outboxes below until the
+    // cycle barrier.
     rtr_lo: NodeId,
     rtr_hi: NodeId,
     host_lo: u32,
     host_hi: u32,
-    /// Owning shard per switch; empty in serial runs (everything local).
+    /// Owning shard per switch; empty for a lone shard (everything local).
     shard_of: Arc<Vec<u16>>,
     my_shard: u16,
     /// Cross-shard packets staged for the cycle barrier, by destination
@@ -470,17 +474,11 @@ pub struct Simulator<'a> {
     grants: Vec<usize>,
 }
 
-impl<'a> Simulator<'a> {
-    /// Creates a simulator.
-    ///
-    /// `sp_table` must be provided (all-pairs, single shortest path) when
-    /// `mechanism` is [`Mechanism::VanillaUgal`].
-    ///
-    /// # Panics
-    /// Panics on inconsistent arguments (missing sp_table, invalid
-    /// config, graph/params mismatch).
+impl<'a> Shard<'a> {
+    /// Creates a shard owning the whole network; see
+    /// [`crate::Simulator::new`] for the arguments and panics.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         graph: &'a Graph,
         params: RrgParams,
         table: &'a PathTable,
@@ -546,8 +544,8 @@ impl<'a> Simulator<'a> {
             lat_hist: LogHistogram::new(),
             min_lat: u64::MAX,
             max_lat: 0,
-            #[cfg(feature = "obs")]
-            observer: None,
+            acc: SampleAccumulator::default(),
+            measured_generated: 0,
             fault_plan: None,
             fault_view: None,
             degraded_table: None,
@@ -577,18 +575,9 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Number of virtual channels in use (hop-indexed).
-    pub fn num_vcs(&self) -> usize {
-        self.num_vcs
-    }
-
-    /// Attaches a fault schedule. Must be called before [`Self::run`].
-    ///
-    /// Reserves two extra hop-indexed VCs (capped at the allocator's 32)
-    /// so rerouted and repaired paths slightly longer than the intact
-    /// table's diameter still fit; degraded-table paths exceeding even
-    /// that budget are trimmed when faults apply.
-    pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
+    /// Attaches a fault schedule, reserving two extra hop-indexed VCs
+    /// (see [`crate::Simulator::with_fault_plan`]).
+    pub(crate) fn attach_fault_plan(&mut self, plan: &'a FaultPlan) {
         assert_eq!(self.cycle, 0, "attach fault plans before running");
         let vcs = (self.num_vcs + 2).min(32);
         if vcs != self.num_vcs {
@@ -600,22 +589,10 @@ impl<'a> Simulator<'a> {
         }
         self.fault_view = Some(DegradedGraph::new(self.graph));
         self.fault_plan = Some(plan);
-        self
     }
 
-    /// Attaches a scenario plan driving phased traffic: steady
-    /// open-loop regimes, Poisson flow arrivals with bounded-Pareto
-    /// sizes, and explicitly scheduled flows. Must be called before
-    /// [`Self::run`]. Until the plan's first phase starts the simulator
-    /// injects nothing, regardless of the constructor's rate and
-    /// pattern; a steady phase literally installs its rate and matrix
-    /// into the legacy injection path, so a single steady phase at
-    /// cycle 0 reproduces a static-pattern run byte-identically.
-    ///
-    /// # Panics
-    /// Panics if an explicit flow references a host outside the
-    /// topology.
-    pub fn with_scenario(mut self, plan: &'a ScenarioPlan) -> Self {
+    /// Attaches a scenario plan (see [`crate::Simulator::with_scenario`]).
+    pub(crate) fn attach_scenario(&mut self, plan: &'a ScenarioPlan) {
         assert_eq!(self.cycle, 0, "attach scenarios before running");
         let hosts = self.params.num_hosts();
         for f in plan.flows() {
@@ -640,22 +617,6 @@ impl<'a> Simulator<'a> {
             fct_hist: LogHistogram::new(),
             fct_sum: 0,
         });
-        self
-    }
-
-    /// Flow-level accounting for a scenario run; `None` when no plan is
-    /// attached. Call after [`Self::run`].
-    pub fn flow_stats(&self) -> Option<FlowStats> {
-        let sc = self.scenario.as_ref()?;
-        let dropped = sc.dropped_flows.len() as u64;
-        Some(FlowStats {
-            generated: sc.flows_generated,
-            completed: sc.flows_completed,
-            dropped,
-            live: sc.flows_generated - sc.flows_completed - dropped,
-            fct_sum: sc.fct_sum,
-            fct_hist: sc.fct_hist.clone(),
-        })
     }
 
     #[inline]
@@ -910,7 +871,7 @@ impl<'a> Simulator<'a> {
 
     /// Generates new packets for this cycle according to the configured
     /// injection process (or the attached scenario's current phase).
-    pub(crate) fn generate(&mut self, measuring: bool, generated: &mut u64) {
+    pub(crate) fn generate(&mut self, measuring: bool) {
         let mut scenario = self.scenario.take();
         for h in self.host_lo..self.host_hi {
             if let Some(view) = &self.fault_view {
@@ -920,7 +881,7 @@ impl<'a> Simulator<'a> {
                 }
             }
             if let Some(sc) = scenario.as_mut() {
-                self.scenario_inject(sc, h, measuring, generated);
+                self.scenario_inject(sc, h, measuring);
                 if !matches!(sc.mode, ScenarioMode::Steady) {
                     continue; // open-loop injection is steady-phase only
                 }
@@ -955,7 +916,7 @@ impl<'a> Simulator<'a> {
             #[cfg(feature = "audit")]
             self.audit_record(AuditEvent::Inject { cycle: self.cycle, host: h, packet: id });
             if measuring {
-                *generated += 1;
+                self.measured_generated += 1;
             }
         }
         self.scenario = scenario;
@@ -964,13 +925,7 @@ impl<'a> Simulator<'a> {
     /// Scenario-side injection for host `h`: a possible new flow
     /// arrival (flows phases only) followed by the NIC feeding at most
     /// one packet of the head active flow into the source queue.
-    fn scenario_inject(
-        &mut self,
-        sc: &mut ScenarioState<'a>,
-        h: u32,
-        measuring: bool,
-        generated: &mut u64,
-    ) {
+    fn scenario_inject(&mut self, sc: &mut ScenarioState<'a>, h: u32, measuring: bool) {
         if let ScenarioMode::Flows { rates, size, matrix, hot } = &sc.mode {
             if self.host_rng[h as usize].random::<f64>() < rates[h as usize] {
                 let uid = (u64::from(h) << 32) | sc.arrivals[h as usize];
@@ -1004,7 +959,7 @@ impl<'a> Simulator<'a> {
         #[cfg(feature = "audit")]
         self.audit_record(AuditEvent::Inject { cycle: self.cycle, host: h, packet: id });
         if measuring {
-            *generated += 1;
+            self.measured_generated += 1;
         }
         f.remaining -= 1;
         if f.remaining > 0 {
@@ -1013,14 +968,9 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// One allocation pass over every owned router; ejections are
-    /// recorded inline into `acc`.
-    pub(crate) fn allocate(
-        &mut self,
-        measuring: bool,
-        acc: &mut SampleAccumulator,
-        ejected: &mut u64,
-    ) {
+    /// One allocation pass over every owned router; measured ejections
+    /// are recorded inline into `acc`.
+    pub(crate) fn allocate(&mut self, measuring: bool) {
         let hps = self.params.hosts_per_switch();
         // Per-router phase spans (route / arbitrate / eject) are the
         // finest trace granularity; they run on a sparser stride than the
@@ -1214,9 +1164,8 @@ impl<'a> Simulator<'a> {
                     #[cfg(feature = "audit")]
                     let host = self.arena.dst_host(req.packet);
                     if measuring {
-                        acc.record(latency);
+                        self.acc.record(latency);
                         self.lat_hist.record(latency);
-                        *ejected += 1;
                         self.min_lat = self.min_lat.min(latency);
                         self.max_lat = self.max_lat.max(latency);
                         self.hop_hist[hops] += 1;
@@ -1591,214 +1540,6 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Runs the configured warmup + measurement schedule.
-    ///
-    /// Terminates early once saturation is certain (a closed sample
-    /// window exceeded the latency threshold, or a source queue
-    /// overflowed): the run is already classified, and saturated runs
-    /// otherwise accumulate millions of queued packets for no
-    /// information. Non-saturated runs are unaffected.
-    pub fn run(&mut self) -> RunResult {
-        let _run_span = jellyfish_obs::span("flitsim.sim.run");
-        let total = self.cfg.total_cycles();
-        let mut acc = SampleAccumulator::default();
-        let mut generated = 0u64;
-        let mut ejected = 0u64;
-        let mut early_saturated = false;
-        // Measured cycles since the last window close; a nonzero value
-        // after the loop means a partial window must still be closed.
-        let mut window_cycles = 0u32;
-        while self.cycle < total {
-            let measuring = self.cycle >= self.cfg.warmup_cycles;
-            #[cfg(feature = "obs")]
-            if let Some(obs) = self.observer.as_mut() {
-                if measuring {
-                    obs.maybe_sample(
-                        self.cycle - self.cfg.warmup_cycles,
-                        &self.credits,
-                        self.cfg.vc_buffer,
-                        self.cfg.packet_flits,
-                        self.num_vcs,
-                    );
-                }
-            }
-            // Per-cycle stage spans for the trace timeline: strided so a
-            // full sweep stays within the tracing overhead budget.
-            #[cfg(feature = "obs")]
-            let trace_cycle = jellyfish_obs::trace::enabled()
-                && self.cycle.is_multiple_of(jellyfish_obs::trace::cycle_stride());
-            {
-                #[cfg(feature = "obs")]
-                let _t = trace_cycle.then(|| jellyfish_obs::trace::span("flitsim.cycle.traverse"));
-                // 0. Cut links/switches whose failure time is due, before
-                //    the wire delivers: packets on a cut wire are lost.
-                self.apply_pending_faults();
-                // 0b. Switch traffic regimes and register explicit
-                //     flows due this cycle, before injection sees them.
-                self.apply_pending_scenario();
-                // 1. Deliver channel arrivals and credit returns due now.
-                self.deliver_due();
-            }
-            {
-                #[cfg(feature = "obs")]
-                let _t = trace_cycle.then(|| jellyfish_obs::trace::span("flitsim.cycle.inject"));
-                // 2. Inject new traffic.
-                self.generate(measuring, &mut generated);
-            }
-            {
-                #[cfg(feature = "obs")]
-                let _t = trace_cycle.then(|| jellyfish_obs::trace::span("flitsim.cycle.allocate"));
-                // 3. Switch allocation + transfers.
-                self.allocate(measuring, &mut acc, &mut ejected);
-            }
-            // 4. End-of-cycle invariant audit (never perturbs the run).
-            #[cfg(feature = "audit")]
-            self.audit_cycle();
-
-            self.cycle += 1;
-            if measuring {
-                window_cycles += 1;
-            }
-            if self.overflowed {
-                early_saturated = true;
-                break;
-            }
-            if measuring
-                && (self.cycle - self.cfg.warmup_cycles).is_multiple_of(self.cfg.sample_cycles)
-            {
-                acc.end_window();
-                window_cycles = 0;
-                let worst = acc.window_means().last().copied().unwrap_or(f64::NAN);
-                // An empty window only signals saturation once traffic
-                // has actually flowed (>= 1 ejection) AND packets are
-                // stuck inside the network rather than merely queued at
-                // sources: with warmup_cycles = 0 a window shorter than
-                // the zero-load flight time legitimately closes with
-                // zero ejections while every live packet still sits in
-                // a source queue.
-                if worst > self.cfg.saturation_latency
-                    || (worst.is_nan() && self.stalled_in_network())
-                {
-                    early_saturated = true;
-                    break;
-                }
-            }
-        }
-        // An early exit can leave a partially measured window open; its
-        // packets already fed the overall mean and the ejected count, so
-        // close it — otherwise the trailing window silently vanishes from
-        // `sample_latencies` and `total_ejected()` disagrees with
-        // `ejected`.
-        if window_cycles > 0 {
-            acc.end_window();
-        }
-        debug_assert_eq!(acc.total_ejected(), ejected);
-
-        let sample_latencies = acc.window_means();
-        // Same guarded empty-window verdict as the early-exit check:
-        // an all-NaN run whose packets never left the source queues
-        // (or never existed) is idle, not saturated.
-        let stalled = self.stalled_in_network();
-        let saturated = early_saturated
-            || self.overflowed
-            || sample_latencies
-                .iter()
-                .any(|m| m.is_nan() && stalled || *m > self.cfg.saturation_latency);
-        #[cfg(all(feature = "audit", feature = "obs"))]
-        if let Some(aud) = &self.auditor {
-            let _span = jellyfish_obs::span("flitsim.audit.report");
-            let mut reg = jellyfish_obs::global();
-            reg.counter_add("flitsim.audit.cycles", aud.cycles_checked());
-            reg.counter_add("flitsim.audit.events", aud.events_recorded());
-        }
-        // Normalize rates by the cycles actually measured, not by the
-        // configured measurement length: early termination would
-        // otherwise deflate `accepted` and every link utilization.
-        let measured_cycles = u64::from(self.cycle.saturating_sub(self.cfg.warmup_cycles));
-        let meas_cycles = measured_cycles.max(1) as f64;
-        let utils: Vec<f64> = self.link_sends.iter().map(|&s| s as f64 / meas_cycles).collect();
-        let (p50, p90, p99, p999) = self.lat_hist.percentiles();
-        RunResult {
-            offered: self.rate,
-            accepted: ejected as f64 / (self.params.num_hosts() as f64 * meas_cycles),
-            avg_latency: acc.overall_mean(),
-            sample_latencies,
-            saturated,
-            generated,
-            ejected,
-            measured_cycles,
-            min_latency: if self.min_lat == u64::MAX { 0 } else { self.min_lat },
-            max_latency: self.max_lat,
-            p50_latency: p50,
-            p90_latency: p90,
-            p99_latency: p99,
-            p999_latency: p999,
-            hop_histogram: self.hop_hist.clone(),
-            mean_link_utilization: utils.iter().sum::<f64>() / utils.len().max(1) as f64,
-            max_link_utilization: utils.iter().cloned().fold(0.0, f64::max),
-            dropped: self.dropped,
-            rerouted: self.rerouted,
-        }
-    }
-
-    /// Attaches a per-cycle occupancy/credit-stall sampler. Must be
-    /// called before [`Self::run`]; collect the report afterwards with
-    /// [`Self::take_metrics`]. Observation never perturbs the simulation
-    /// itself — results stay byte-identical with and without it.
-    #[cfg(feature = "obs")]
-    pub fn with_observer(mut self, cfg: ObserveConfig) -> Self {
-        assert_eq!(self.cycle, 0, "attach observers before running");
-        self.observer = Some(SimObserver::new(cfg, self.graph.num_links(), self.num_vcs));
-        self
-    }
-
-    /// Detaches the observer and returns its report (per-link/per-VC
-    /// occupancy and credit-stall time series, link utilizations, the
-    /// latency histogram). `None` if no observer was attached.
-    #[cfg(feature = "obs")]
-    pub fn take_metrics(&mut self) -> Option<SimMetrics> {
-        let obs = self.observer.take()?;
-        let measured = u64::from(self.cycle.saturating_sub(self.cfg.warmup_cycles)).max(1);
-        let utils = self.link_sends.iter().map(|&s| s as f64 / measured as f64).collect();
-        Some(obs.into_metrics(utils, self.lat_hist.clone()))
-    }
-
-    /// True when traffic has flowed (>= 1 ejection ever), no packet has
-    /// ejected for longer than the zero-load flight bound, and live
-    /// packets occupy the network proper — input buffers or wires —
-    /// rather than only source queues. Gates the empty-sample-window
-    /// saturation verdict: during startup (no warmup, windows shorter
-    /// than the flight time) empty windows are legitimate, not
-    /// saturation. For realistic configurations (`sample_cycles` well
-    /// above the flight bound) the verdict is unchanged.
-    fn stalled_in_network(&self) -> bool {
-        if self.ejected_total == 0 {
-            return false;
-        }
-        // Longest a packet can take across an idle network: wire plus
-        // serialization per traversal, one traversal per VC, plus one
-        // extra term of injection/ejection slack.
-        let flight = (self.cfg.channel_latency as u64 + self.cfg.packet_flits as u64)
-            * (self.num_vcs as u64 + 1);
-        if u64::from(self.cycle - self.last_ejection) <= flight {
-            return false;
-        }
-        let src_queued: usize = self.src_q.iter().map(VecDeque::len).sum();
-        self.arena.live() > src_queued
-    }
-
-    /// Attaches the runtime invariant auditor. Must be called before
-    /// [`Self::run`]. Auditing never perturbs the simulation — results
-    /// stay byte-identical with and without it — and a broken invariant
-    /// panics with a structured [`Violation`] diagnostic including the
-    /// flight-recorder dump.
-    #[cfg(feature = "audit")]
-    pub fn with_auditor(mut self, cfg: AuditConfig) -> Self {
-        assert_eq!(self.cycle, 0, "attach auditors before running");
-        self.auditor = Some(Auditor::new(cfg));
-        self
-    }
-
     /// Feeds one event to the flight recorder, if an auditor is attached.
     #[cfg(feature = "audit")]
     #[inline]
@@ -1808,221 +1549,9 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// End-of-cycle audit entry point: runs every invariant check and
-    /// panics with the structured [`Violation`] on the first failure.
-    #[cfg(feature = "audit")]
-    fn audit_cycle(&mut self) {
-        let Some(mut a) = self.auditor.take() else { return };
-        let verdict = self.audit_invariants(&mut a);
-        a.bump_cycles_checked();
-        self.auditor = Some(a);
-        if let Err(v) = verdict {
-            jellyfish_obs::journal::publish(
-                u64::from(v.cycle),
-                jellyfish_obs::journal::EventKind::AuditViolation {
-                    invariant: v.invariant.to_string(),
-                },
-            );
-            panic!("{v}");
-        }
-    }
-
-    /// The invariant checks proper. Read-only over simulator state (the
-    /// auditor's scratch tallies are the only mutation), so auditing
-    /// cannot perturb the run.
-    #[cfg(feature = "audit")]
-    fn audit_invariants(&self, a: &mut Auditor) -> Result<(), Violation> {
-        let cycle = self.cycle;
-        // Packet conservation: every packet ever generated is ejected,
-        // dropped, or live in the arena...
-        let live = self.arena.live() as u64;
-        if self.generated_total != self.ejected_total + self.dropped + live {
-            return Err(a.violation(
-                "packet-conservation",
-                cycle,
-                format!(
-                    "generated {} != ejected {} + dropped {} + live {}",
-                    self.generated_total, self.ejected_total, self.dropped, live
-                ),
-            ));
-        }
-        // ...and every live packet sits in exactly one queue.
-        let src_queued: u64 = self.src_q.iter().map(|q| q.len() as u64).sum();
-        let buffered: u64 = self.in_buf.iter().map(|q| q.len() as u64).sum();
-        let on_wire: u64 = self.chan.iter().map(|s| s.len() as u64).sum();
-        if live != src_queued + buffered + on_wire {
-            return Err(a.violation(
-                "packet-location",
-                cycle,
-                format!(
-                    "live {live} != source-queued {src_queued} + buffered {buffered} \
-                     + on-wire {on_wire}"
-                ),
-            ));
-        }
-        // Flow conservation: every flow ever arrived is completed,
-        // dropped (lost >= 1 packet), or live — waiting at its NIC,
-        // with packets in some queue, or partially ejected at its
-        // destination. And FCT records exactly once per completion.
-        if let Some(sc) = &self.scenario {
-            let mut live_flows: HashSet<u64> = HashSet::new();
-            for q in &sc.active {
-                for f in q {
-                    live_flows.insert(f.uid);
-                }
-            }
-            let mut note = |uid: u64| {
-                if uid != u64::MAX {
-                    live_flows.insert(uid);
-                }
-            };
-            for q in &self.src_q {
-                for &pid in q {
-                    note(self.arena.flow(pid));
-                }
-            }
-            for q in &self.in_buf {
-                for &pid in q {
-                    note(self.arena.flow(pid));
-                }
-            }
-            for slot in &self.chan {
-                for &(pid, _) in slot {
-                    note(self.arena.flow(pid));
-                }
-            }
-            for &uid in sc.flow_eject.keys() {
-                live_flows.insert(uid);
-            }
-            for uid in &sc.dropped_flows {
-                live_flows.remove(uid);
-            }
-            let live = live_flows.len() as u64;
-            let dropped = sc.dropped_flows.len() as u64;
-            if sc.flows_generated != sc.flows_completed + dropped + live {
-                return Err(a.violation(
-                    "flow-conservation",
-                    cycle,
-                    format!(
-                        "flows generated {} != completed {} + dropped {dropped} + live {live}",
-                        sc.flows_generated, sc.flows_completed
-                    ),
-                ));
-            }
-            if sc.fct_hist.count() != sc.flows_completed {
-                return Err(a.violation(
-                    "fct-accounting",
-                    cycle,
-                    format!(
-                        "{} FCT sample(s) recorded for {} completed flow(s)",
-                        sc.fct_hist.count(),
-                        sc.flows_completed
-                    ),
-                ));
-            }
-        }
-        // Credit conservation per live (link, vc). Dead links are
-        // exempt: fault drops retire packets without returning credits
-        // (and `fail_switch` fails every incident link, so the same
-        // test covers switch failures).
-        let nq = self.in_buf.len();
-        a.reset_scratch(nq);
-        for slot in &self.chan {
-            for &(_, qi) in slot {
-                a.chan_in_flight[qi as usize] += 1;
-            }
-        }
-        for slot in &self.cred {
-            for &qi in slot {
-                a.cred_pending[qi as usize] += 1;
-            }
-        }
-        let flits = self.cfg.packet_flits as u64;
-        for qi in 0..nq {
-            let link = (qi / self.num_vcs) as LinkId;
-            if let Some(view) = &self.fault_view {
-                if !view.link_is_live(link) {
-                    continue;
-                }
-            }
-            let occupancy = self.in_buf[qi].len() as u64
-                + a.chan_in_flight[qi] as u64
-                + a.cred_pending[qi] as u64;
-            let have = self.credits[qi] as u64 + flits * occupancy;
-            if have != self.cfg.vc_buffer as u64 {
-                let (u, v) = (self.graph.link_src(link), self.graph.link_dst(link));
-                return Err(a.violation(
-                    "credit-conservation",
-                    cycle,
-                    format!(
-                        "link {link} ({u}->{v}) vc {}: credits {} + {flits} flit(s) x \
-                         (buffered {} + on-wire {} + pending-returns {}) = {have}, \
-                         want vc_buffer {}",
-                        qi % self.num_vcs,
-                        self.credits[qi],
-                        self.in_buf[qi].len(),
-                        a.chan_in_flight[qi],
-                        a.cred_pending[qi],
-                        self.cfg.vc_buffer
-                    ),
-                ));
-            }
-        }
-        // vc_occ bitmask agrees with input-buffer emptiness.
-        for link in 0..self.vc_occ.len() {
-            for vc in 0..self.num_vcs {
-                let qi = link * self.num_vcs + vc;
-                let bit = self.vc_occ[link] & (1 << vc) != 0;
-                if bit == self.in_buf[qi].is_empty() {
-                    return Err(a.violation(
-                        "occupancy-mask",
-                        cycle,
-                        format!(
-                            "link {link} vc {vc}: vc_occ bit {bit} but buffer holds {} packet(s)",
-                            self.in_buf[qi].len()
-                        ),
-                    ));
-                }
-            }
-        }
-        // rtr_load agrees with queue emptiness (the allocator's skip test).
-        for r in 0..self.graph.num_nodes() as NodeId {
-            self.audit_router_load(a, r)?;
-        }
-        // Route validity for every queued packet.
-        for (h, q) in self.src_q.iter().enumerate() {
-            for &pid in q {
-                self.audit_packet(a, pid, None, Some(h as u32))?;
-            }
-        }
-        for qi in 0..nq {
-            for &pid in &self.in_buf[qi] {
-                self.audit_packet(a, pid, Some((qi as u32, false)), None)?;
-            }
-        }
-        for slot in &self.chan {
-            for &(pid, qi) in slot {
-                self.audit_packet(a, pid, Some((qi, true)), None)?;
-            }
-        }
-        // Forward-progress watchdog: packets live, nothing moving.
-        if live > 0 && a.stalled(cycle) {
-            return Err(a.violation(
-                "forward-progress",
-                cycle,
-                format!(
-                    "no grant, ejection, or drop for {} cycles with {live} live packet(s) \
-                     — deadlock/livelock",
-                    a.stall_cycles(cycle)
-                ),
-            ));
-        }
-        Ok(())
-    }
-
     /// `rtr_load[r]` equals the number of non-empty input VC queues and
     /// non-empty source queues at router `r`, counted from the queues
-    /// themselves. Under sharding, call it on the router's owning shard.
+    /// themselves. Call it on the router's owning shard.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_router_load(&self, a: &mut Auditor, r: NodeId) -> Result<(), Violation> {
         let mut net = 0;
@@ -2058,14 +1587,39 @@ impl<'a> Simulator<'a> {
         net: Option<(u32, bool)>,
         src_host: Option<u32>,
     ) -> Result<(), Violation> {
-        let hop = self.arena.hop(pid) as usize;
-        let path = self.arena.path(pid);
+        let who = AuditedPacket::Queued(pid);
+        self.audit_route(a, who, self.arena.hop(pid) as usize, self.arena.path(pid), net, src_host)
+    }
+
+    /// [`Self::audit_packet`] for a packet crossing a shard boundary,
+    /// which carries its own route.
+    #[cfg(feature = "audit")]
+    pub(crate) fn audit_boundary_flit(
+        &self,
+        a: &mut Auditor,
+        m: &FlitMsg,
+    ) -> Result<(), Violation> {
+        let net = Some((m.qi, true));
+        self.audit_route(a, AuditedPacket::Boundary, m.hop as usize, &m.path, net, None)
+    }
+
+    /// The route checks behind both, on a packet's hop index and route.
+    #[cfg(feature = "audit")]
+    fn audit_route(
+        &self,
+        a: &mut Auditor,
+        who: AuditedPacket,
+        hop: usize,
+        path: &[NodeId],
+        net: Option<(u32, bool)>,
+        src_host: Option<u32>,
+    ) -> Result<(), Violation> {
         if let Some(h) = src_host {
             if hop != 0 {
                 return Err(a.violation(
                     "route-validity",
                     self.cycle,
-                    format!("pkt {pid} in source queue of host {h} has hop {hop} != 0"),
+                    format!("{who} in source queue of host {h} has hop {hop} != 0"),
                 ));
             }
             if path.is_empty() {
@@ -2076,7 +1630,7 @@ impl<'a> Simulator<'a> {
                 return Err(a.violation(
                     "route-validity",
                     self.cycle,
-                    format!("pkt {pid} at host {h} (switch {sw}) routes from switch {}", path[0]),
+                    format!("{who} at host {h} (switch {sw}) routes from switch {}", path[0]),
                 ));
             }
         } else {
@@ -2088,7 +1642,7 @@ impl<'a> Simulator<'a> {
                 return Err(a.violation(
                     "route-validity",
                     self.cycle,
-                    format!("pkt {pid} on link {link} vc {vc}: hop {hop} != vc + 1"),
+                    format!("{who} on link {link} vc {vc}: hop {hop} != vc + 1"),
                 ));
             }
             if hop >= path.len() || path[hop] != self.graph.link_dst(link) {
@@ -2096,7 +1650,7 @@ impl<'a> Simulator<'a> {
                     "route-validity",
                     self.cycle,
                     format!(
-                        "pkt {pid} on link {link} (-> {}) but its route puts hop {hop} at {:?}",
+                        "{who} on link {link} (-> {}) but its route puts hop {hop} at {:?}",
                         self.graph.link_dst(link),
                         path.get(hop)
                     ),
@@ -2108,7 +1662,7 @@ impl<'a> Simulator<'a> {
                         return Err(a.violation(
                             "route-validity",
                             self.cycle,
-                            format!("pkt {pid} flying on dead link {link}"),
+                            format!("{who} flying on dead link {link}"),
                         ));
                     }
                 }
@@ -2120,7 +1674,7 @@ impl<'a> Simulator<'a> {
                 "route-validity",
                 self.cycle,
                 format!(
-                    "pkt {pid} route of {hops_total} hops exceeds the {} hop-indexed VCs",
+                    "{who} route of {hops_total} hops exceeds the {} hop-indexed VCs",
                     self.num_vcs
                 ),
             ));
@@ -2130,55 +1684,31 @@ impl<'a> Simulator<'a> {
                 return Err(a.violation(
                     "route-validity",
                     self.cycle,
-                    format!("pkt {pid} route uses nonexistent edge {} -> {}", w[0], w[1]),
+                    format!("{who} route uses nonexistent edge {} -> {}", w[0], w[1]),
                 ));
             }
         }
         Ok(())
     }
+}
 
-    /// Test hook (`audit` feature): corrupts one credit counter so the
-    /// seeded-violation tests can verify the auditor catches it.
-    #[cfg(feature = "audit")]
-    #[doc(hidden)]
-    pub fn audit_corrupt_credit(&mut self, link: LinkId, vc: u16) {
-        let qi = self.qi(link, vc) as usize;
-        self.credits[qi] -= 1;
-    }
+/// How a route-validity diagnostic names its packet.
+#[cfg(feature = "audit")]
+#[derive(Clone, Copy)]
+enum AuditedPacket {
+    /// A packet in this shard's arena.
+    Queued(PacketId),
+    /// A packet in a boundary inbox, outside every arena.
+    Boundary,
+}
 
-    /// Test hook (`audit` feature): inflates one router's load counter
-    /// so the seeded-violation tests can verify `router-load` fires.
-    #[cfg(feature = "audit")]
-    #[doc(hidden)]
-    pub fn audit_corrupt_router_load(&mut self, router: NodeId) {
-        self.rtr_load[router as usize] += 1;
-    }
-
-    /// Test hook (`audit` feature): permanently blocks a host's
-    /// ejection port so the watchdog tests can manufacture a livelock.
-    #[cfg(feature = "audit")]
-    #[doc(hidden)]
-    pub fn audit_block_ejection(&mut self, host: u32) {
-        self.out_free[self.graph.num_links() + host as usize] = u32::MAX;
-    }
-
-    /// Test hook (`audit` feature): forges a completed-flow count so
-    /// the seeded-violation tests can verify flow conservation fires.
-    #[cfg(feature = "audit")]
-    #[doc(hidden)]
-    pub fn audit_phantom_completion(&mut self) {
-        let sc = self.scenario.as_mut().expect("hook needs an attached scenario");
-        sc.flows_completed += 1;
-    }
-
-    /// Test hook (`audit` feature): records a spurious FCT sample so
-    /// the seeded-violation tests can verify FCT accounting fires.
-    #[cfg(feature = "audit")]
-    #[doc(hidden)]
-    pub fn audit_spurious_fct(&mut self) {
-        let sc = self.scenario.as_mut().expect("hook needs an attached scenario");
-        sc.fct_hist.record(1);
-        sc.fct_sum += 1;
+#[cfg(feature = "audit")]
+impl std::fmt::Display for AuditedPacket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AuditedPacket::Queued(pid) => write!(f, "pkt {pid}"),
+            AuditedPacket::Boundary => write!(f, "boundary pkt"),
+        }
     }
 }
 
@@ -2186,6 +1716,7 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use crate::test_util;
+    use crate::Simulator;
     use jellyfish_routing::{PairSet, PathSelection};
     use jellyfish_traffic::{random_permutation, switch_pairs, PacketDestinations};
     use std::sync::Arc;
@@ -2868,35 +2399,11 @@ mod tests {
     mod audit {
         use super::*;
         use crate::audit::AuditConfig;
-        use jellyfish_traffic::Flow;
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
         fn violation_message(mut sim: Simulator<'_>) -> String {
             let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("must violate");
             err.downcast_ref::<String>().expect("structured panic payload").clone()
-        }
-
-        #[test]
-        fn audited_run_is_byte_identical() {
-            let (g, p) = setup();
-            let t = table(p, PathSelection::REdKsp(4));
-            let run = |audited: bool| {
-                let mut sim = Simulator::new(
-                    &g,
-                    p,
-                    &t,
-                    None,
-                    Mechanism::KspUgal,
-                    uniform(&p),
-                    0.3,
-                    SimConfig::paper(),
-                );
-                if audited {
-                    sim = sim.with_auditor(AuditConfig::default());
-                }
-                sim.run()
-            };
-            assert_eq!(run(false), run(true));
         }
 
         #[test]
@@ -2936,56 +2443,6 @@ mod tests {
                 .with_auditor(AuditConfig::default());
             let r = sim.run();
             assert!(r.dropped > 0 && r.ejected > 0, "{r:?}");
-        }
-
-        #[test]
-        fn corrupted_credit_is_reported_with_invariant_and_link() {
-            let (g, p) = setup();
-            let t = table(p, PathSelection::Ksp(4));
-            let mut sim = Simulator::new(
-                &g,
-                p,
-                &t,
-                None,
-                Mechanism::Random,
-                uniform(&p),
-                0.1,
-                SimConfig::paper(),
-            )
-            .with_auditor(AuditConfig::default());
-            sim.audit_corrupt_credit(3, 0);
-            let msg = violation_message(sim);
-            assert!(msg.contains("audit violation: credit-conservation at cycle 0"), "{msg}");
-            assert!(msg.contains("link 3"), "{msg}");
-            assert!(msg.contains("vc 0"), "{msg}");
-        }
-
-        #[test]
-        fn blocked_ejection_trips_the_forward_progress_watchdog() {
-            // All traffic converges on host 0 whose ejection port never
-            // frees: the network clogs, every grant dries up, and the
-            // watchdog must call the livelock rather than spin silently.
-            let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-            let p = RrgParams::new(4, 3, 2);
-            let t = PathTable::compute(&g, PathSelection::Ksp(2), &PairSet::AllPairs, 0);
-            let flows = [1, 2, 3].map(|src| Flow { src, dst: 0 });
-            let pattern = PacketDestinations::from_flows(p.num_hosts(), &flows);
-            let mut cfg = SimConfig::paper();
-            cfg.warmup_cycles = 0;
-            cfg.num_samples = 40; // room for the clog plus the watchdog budget
-            cfg.source_queue_cap = 1 << 20; // overflow must not preempt the verdict
-            let mut sim = Simulator::new(&g, p, &t, None, Mechanism::SinglePath, pattern, 0.5, cfg)
-                .with_auditor(AuditConfig { watchdog_cycles: 300, ring_capacity: 16 });
-            sim.audit_block_ejection(0);
-            let msg = violation_message(sim);
-            assert!(msg.contains("audit violation: forward-progress"), "{msg}");
-            assert!(msg.contains("no grant, ejection, or drop for 300 cycles"), "{msg}");
-            assert!(msg.contains("deadlock/livelock"), "{msg}");
-            // The flight recorder still carries context (the stall is
-            // longer than the ring, so what remains are the injections
-            // that kept arriving while nothing moved).
-            assert!(msg.contains("flight recorder (oldest first):"), "{msg}");
-            assert!(msg.contains("inject"), "{msg}");
         }
 
         #[test]

@@ -296,6 +296,11 @@ impl SampleAccumulator {
         }
     }
 
+    /// Number of closed windows.
+    pub(crate) fn closed_windows(&self) -> usize {
+        self.windows.len()
+    }
+
     /// Total ejected packets across closed windows. The simulator closes
     /// any trailing partial window before reading results, so by then
     /// this covers every recorded packet.

@@ -7,8 +7,7 @@
 
 use crate::config::SimConfig;
 use crate::mechanism::Mechanism;
-use crate::parallel::{resolve_threads, ParallelSimulator};
-use crate::sim::Simulator;
+use crate::parallel::{resolve_threads, Simulator};
 use crate::stats::RunResult;
 use jellyfish_routing::PathTable;
 use jellyfish_topology::{FaultPlan, Graph, RrgParams};
@@ -33,9 +32,9 @@ pub struct SweepConfig<'a> {
     pub faults: Option<&'a FaultPlan>,
     /// Simulator settings.
     pub sim: SimConfig,
-    /// Worker threads per simulation: `0` resolves through
+    /// Worker threads (shards) per simulation: `0` resolves through
     /// [`resolve_threads`] (CLI install, then `JELLYFISH_SIM_THREADS`,
-    /// then serial). Results are byte-identical at any value.
+    /// then one). Results are byte-identical at any value.
     pub threads: usize,
 }
 
@@ -51,39 +50,21 @@ pub struct LoadPoint {
 /// Runs the simulator once at `rate`.
 pub fn run_at(cfg: &SweepConfig<'_>, pattern: &PacketDestinations, rate: f64) -> RunResult {
     let _span = jellyfish_obs::span("flitsim.run");
-    let threads = resolve_threads(Some(cfg.threads));
-    let result = if threads > 1 {
-        let mut sim = ParallelSimulator::new(
-            cfg.graph,
-            cfg.params,
-            cfg.table,
-            cfg.sp_table,
-            cfg.mechanism,
-            pattern.clone(),
-            rate,
-            cfg.sim,
-            threads,
-        );
-        if let Some(plan) = cfg.faults {
-            sim = sim.with_fault_plan(plan);
-        }
-        sim.run()
-    } else {
-        let mut sim = Simulator::new(
-            cfg.graph,
-            cfg.params,
-            cfg.table,
-            cfg.sp_table,
-            cfg.mechanism,
-            pattern.clone(),
-            rate,
-            cfg.sim,
-        );
-        if let Some(plan) = cfg.faults {
-            sim = sim.with_fault_plan(plan);
-        }
-        sim.run()
-    };
+    let mut sim = Simulator::new(
+        cfg.graph,
+        cfg.params,
+        cfg.table,
+        cfg.sp_table,
+        cfg.mechanism,
+        pattern.clone(),
+        rate,
+        cfg.sim,
+    )
+    .with_threads(resolve_threads(Some(cfg.threads)));
+    if let Some(plan) = cfg.faults {
+        sim = sim.with_fault_plan(plan);
+    }
+    let result = sim.run();
     jellyfish_obs::global().counter_add("flitsim.cycles.measured", result.measured_cycles);
     result
 }

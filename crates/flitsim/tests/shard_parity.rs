@@ -1,0 +1,280 @@
+//! Differential determinism layer for sharded runs.
+//!
+//! The contract under test: for a fixed seed, a `Simulator` split into
+//! any number of shards produces a **byte-identical** `RunResult` —
+//! every scalar, the full percentile block, `measured_cycles`, the
+//! histograms, and the serialized v2 text form — to the same run on one
+//! shard, on random topologies, schemes, loads, and fault plans.
+//! Mirrors the cache≡recompute differential suite: the one-shard run
+//! (whose output the golden fixtures pin) is the oracle, and every other
+//! shard count must be indistinguishable from it.
+
+use jellyfish_flitsim::test_util;
+use jellyfish_flitsim::{write_result, Mechanism, RunResult, SimConfig, Simulator};
+use jellyfish_routing::PathSelection;
+use jellyfish_topology::{FaultPlan, Graph, RrgParams};
+use jellyfish_traffic::{FlowSize, HotspotKind, Matrix, PacketDestinations, ScenarioPlan};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Shard counts compared against the one-shard reference.
+const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
+
+fn serialized(r: &RunResult) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_result(r, &mut buf).expect("serialize result");
+    buf
+}
+
+/// Asserts full equality: the `RunResult` itself (where comparable) and
+/// its serialized byte form (which also covers NaN latency windows —
+/// `NaN != NaN` would mask a match under plain `==`).
+#[track_caller]
+fn assert_byte_identical(reference: &RunResult, sharded: &RunResult, label: &str) {
+    assert_eq!(
+        serialized(reference),
+        serialized(sharded),
+        "{label}: serialized results differ\none shard: {reference:?}\nsharded:   {sharded:?}"
+    );
+}
+
+fn uniform(p: &RrgParams) -> PacketDestinations {
+    PacketDestinations::Uniform { num_hosts: p.num_hosts() }
+}
+
+struct Fixture {
+    g: Arc<Graph>,
+    p: RrgParams,
+    t: Arc<jellyfish_routing::PathTable>,
+}
+
+fn fixture(topo_seed: u64, sel: PathSelection) -> Fixture {
+    let p = RrgParams::new(10, 6, 4);
+    let g = test_util::graph(p, topo_seed);
+    let t = test_util::all_pairs_table(p, topo_seed, sel, topo_seed);
+    Fixture { g, p, t }
+}
+
+fn run(
+    f: &Fixture,
+    mech: Mechanism,
+    rate: f64,
+    cfg: SimConfig,
+    plan: Option<&FaultPlan>,
+    threads: usize,
+) -> RunResult {
+    let mut sim =
+        Simulator::new(&f.g, f.p, &f.t, None, mech, uniform(&f.p), rate, cfg).with_threads(threads);
+    if let Some(plan) = plan {
+        sim = sim.with_fault_plan(plan);
+    }
+    sim.run()
+}
+
+fn mechanisms() -> impl Strategy<Value = Mechanism> {
+    prop_oneof![
+        Just(Mechanism::SinglePath),
+        Just(Mechanism::Random),
+        Just(Mechanism::RoundRobin),
+        Just(Mechanism::KspUgal),
+        Just(Mechanism::KspAdaptive),
+    ]
+}
+
+proptest! {
+    // Each case is four runs; keep the count moderate.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random topology/scheme/load: every shard count matches one
+    /// shard, byte for byte.
+    #[test]
+    fn sharded_runs_are_byte_identical_to_one_shard(
+        seed in any::<u64>(),
+        rate in 0.02f64..0.3,
+        mech in mechanisms(),
+        k in 1usize..5,
+    ) {
+        let f = fixture(seed % 16, PathSelection::REdKsp(k));
+        let mut cfg = SimConfig::paper();
+        cfg.num_samples = 3;
+        cfg.seed = seed;
+        let reference = run(&f, mech, rate, cfg, None, 1);
+        for threads in THREAD_COUNTS {
+            let sharded = run(&f, mech, rate, cfg, None, threads);
+            assert_byte_identical(&reference, &sharded, &format!("{mech:?} threads={threads}"));
+        }
+    }
+
+    /// Random mid-run fault plans (cuts, reroutes, retries, drops):
+    /// byte-identical at every shard count. Under the `audit` feature
+    /// the case additionally runs with the per-cycle invariant auditor
+    /// attached at one and four shards — the merged checks must stay
+    /// green and must not perturb the run.
+    #[test]
+    fn faulted_sharded_runs_are_byte_identical_to_one_shard(
+        seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        fraction in 0.02f64..0.25,
+        at_cycle in 0u64..400,
+        rate in 0.01f64..0.2,
+        mech in mechanisms(),
+    ) {
+        let f = fixture(seed % 16, PathSelection::RKsp(3));
+        let plan = FaultPlan::random_links(&f.g, fraction, at_cycle, fault_seed);
+        let mut cfg = SimConfig::paper();
+        cfg.warmup_cycles = 0; // faults land inside the measured span
+        cfg.num_samples = 4;
+        cfg.seed = seed;
+        let reference = run(&f, mech, rate, cfg, Some(&plan), 1);
+        for threads in THREAD_COUNTS {
+            let sharded = run(&f, mech, rate, cfg, Some(&plan), threads);
+            assert_byte_identical(
+                &reference,
+                &sharded,
+                &format!("faulted {mech:?} threads={threads}"),
+            );
+        }
+        #[cfg(feature = "audit")]
+        {
+            let audited = |threads: usize| {
+                let mut sim =
+                    Simulator::new(&f.g, f.p, &f.t, None, mech, uniform(&f.p), rate, cfg)
+                        .with_threads(threads)
+                        .with_auditor(jellyfish_flitsim::AuditConfig::default())
+                        .with_fault_plan(&plan);
+                sim.run()
+            };
+            for threads in [1, 4] {
+                assert_byte_identical(
+                    &reference,
+                    &audited(threads),
+                    &format!("faulted+audited {mech:?} threads={threads}"),
+                );
+            }
+        }
+    }
+}
+
+/// A dynamic scenario — Poisson flow arrivals with heavy-tailed sizes,
+/// a mid-run shift to steady permutation traffic, then an incast
+/// hotspot phase plus explicit flows — reproduces the one-shard bytes
+/// at every shard count, and the merged flow ledger (generation on the
+/// source shard, completion on the destination shard, FCT histogram
+/// merged by bucket addition) matches the one-shard ledger exactly.
+/// Under the `audit` feature one leg also runs with the per-cycle
+/// flow-conservation and fct-accounting invariants armed.
+#[test]
+fn scenario_run_is_byte_identical_across_thread_counts() {
+    let f = fixture(4, PathSelection::REdKsp(4));
+    let mut plan = ScenarioPlan::new(17);
+    plan.add_flows(0, 0.004, FlowSize { min: 1, max: 16, alpha: 1.3 }, Matrix::Uniform);
+    plan.add_steady(900, 0.12, Matrix::Permutation { seed: 6 });
+    plan.add_flows(
+        1800,
+        0.003,
+        FlowSize::fixed(5),
+        Matrix::Hotspot { hot: 3, fraction: 0.5, kind: HotspotKind::Incast, seed: 8 },
+    );
+    plan.add_flow(200, 0, 11, 20);
+    plan.add_flow(1000, 9, 2, 7);
+    let mut cfg = SimConfig::paper();
+    cfg.num_samples = 5;
+    cfg.seed = 23;
+    let scenario_sim = |threads: usize| {
+        Simulator::new(&f.g, f.p, &f.t, None, Mechanism::KspAdaptive, uniform(&f.p), 0.0, cfg)
+            .with_threads(threads)
+            .with_scenario(&plan)
+    };
+    let mut sim = scenario_sim(1);
+    let reference = sim.run();
+    let reference_flows = sim.flow_stats().expect("scenario attached");
+    assert!(reference_flows.generated > 0, "{reference_flows:?}");
+    assert_eq!(reference_flows.fct_hist.count(), reference_flows.completed, "{reference_flows:?}");
+    for threads in THREAD_COUNTS {
+        let mut sim = scenario_sim(threads);
+        let sharded = sim.run();
+        assert_byte_identical(&reference, &sharded, &format!("scenario threads={threads}"));
+        let flows = sim.flow_stats().expect("scenario attached");
+        assert_eq!(flows, reference_flows, "flow ledger diverged at threads={threads}");
+    }
+    #[cfg(feature = "audit")]
+    {
+        let mut sim = scenario_sim(4).with_auditor(jellyfish_flitsim::AuditConfig::default());
+        let sharded = sim.run();
+        assert_byte_identical(&reference, &sharded, "scenario audited threads=4");
+        assert_eq!(sim.flow_stats().expect("scenario attached"), reference_flows);
+    }
+}
+
+/// The paper-scale schedule (500-cycle warmup, 10×500-cycle windows) on
+/// the saturation boundary, where window-close decisions and early
+/// exits are most fragile: one wrong verdict shifts `measured_cycles`.
+#[test]
+fn saturating_run_exits_identically() {
+    let f = fixture(3, PathSelection::REdKsp(4));
+    let mut cfg = SimConfig::paper();
+    cfg.seed = 9;
+    // 0.9 exits after window 4, 0.95 after window 3 — two distinct
+    // early-exit points on the same topology.
+    for rate in [0.9, 0.95] {
+        let reference = run(&f, Mechanism::SinglePath, rate, cfg, None, 1);
+        assert!(reference.saturated, "single-path at rate {rate} must saturate");
+        for threads in THREAD_COUNTS {
+            let sharded = run(&f, Mechanism::SinglePath, rate, cfg, None, threads);
+            assert_byte_identical(&reference, &sharded, &format!("saturating threads={threads}"));
+        }
+    }
+}
+
+/// Thread counts beyond the router count clamp to one router per shard
+/// and still reproduce the one-shard bytes.
+#[test]
+fn oversubscribed_thread_count_clamps_and_matches() {
+    let f = fixture(5, PathSelection::Ksp(3));
+    let mut cfg = SimConfig::paper();
+    cfg.num_samples = 2;
+    cfg.seed = 11;
+    let reference = run(&f, Mechanism::KspAdaptive, 0.15, cfg, None, 1);
+    let sharded = run(&f, Mechanism::KspAdaptive, 0.15, cfg, None, 64);
+    assert_byte_identical(&reference, &sharded, "threads=64 on 10 switches");
+}
+
+/// `JELLYFISH_SIM_THREADS` splits `SweepConfig { threads: 0 }` runs
+/// into shards (the `RAYON_NUM_THREADS`-style override), and the result
+/// bytes still match one shard; a value `--threads` would reject fails
+/// loudly instead of quietly running on one shard. The env var is
+/// process global, so this is the only test in the binary that touches
+/// `resolve_threads` — everything else passes explicit counts.
+#[test]
+fn env_override_engages_parallel_engine_and_matches() {
+    let f = fixture(7, PathSelection::REdKsp(4));
+    let mut cfg = SimConfig::paper();
+    cfg.num_samples = 3;
+    cfg.seed = 13;
+    let sweep = jellyfish_flitsim::SweepConfig {
+        graph: &f.g,
+        params: f.p,
+        table: &f.t,
+        sp_table: None,
+        mechanism: Mechanism::KspAdaptive,
+        faults: None,
+        sim: cfg,
+        threads: 0,
+    };
+    let pattern = uniform(&f.p);
+    std::env::remove_var("JELLYFISH_SIM_THREADS");
+    let reference = jellyfish_flitsim::run_at(&sweep, &pattern, 0.2);
+    assert_eq!(jellyfish_flitsim::resolve_threads(None), 1);
+    std::env::set_var("JELLYFISH_SIM_THREADS", "3");
+    assert_eq!(jellyfish_flitsim::resolve_threads(None), 3);
+    let sharded = jellyfish_flitsim::run_at(&sweep, &pattern, 0.2);
+    for bad in ["0", "four", "-2", ""] {
+        std::env::set_var("JELLYFISH_SIM_THREADS", bad);
+        let err = std::panic::catch_unwind(|| jellyfish_flitsim::resolve_threads(None))
+            .expect_err("a bad JELLYFISH_SIM_THREADS must fail");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("must be an integer >= 1"), "{bad:?}: {msg}");
+    }
+    std::env::remove_var("JELLYFISH_SIM_THREADS");
+    assert_byte_identical(&reference, &sharded, "env JELLYFISH_SIM_THREADS=3");
+}
