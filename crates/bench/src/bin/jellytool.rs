@@ -1,452 +1,697 @@
-//! `jellytool` — command-line utilities around the library.
+//! `jellytool` — the command-line front end of the library: topology
+//! inspection, path queries and tables, fault and scenario sweeps, the
+//! routing daemon and its load tests, the performance suite, and the
+//! paper's tables and figures (`jellytool repro <experiment>`).
 //!
-//! ```text
-//! jellytool topo  --switches N --ports X --net-ports Y [--seed S] [--dot FILE]
-//!     print Table-I style metrics (and optionally export Graphviz DOT)
+//! Every command, its one-line synopsis and its flags are declared once,
+//! in [`COMMANDS`]. The parser, the usage text printed on a usage error
+//! (exit 2), `jellytool help` and `jellytool <command> --help` (exit 0)
+//! are all generated from that table. Unknown and duplicate flags,
+//! flag-like values (`--out --seed` is a missing value, not a file named
+//! `--seed`) and values that do not parse are usage errors.
 //!
-//! jellytool paths --switches N --ports X --net-ports Y --src A --dst B
-//!                 [--seed S] [--k K]
-//!     print the paths every selection scheme computes for one pair
-//!
-//! jellytool table --switches N --ports X --net-ports Y --selection NAME
-//!                 --out FILE [--seed S] [--k K]
-//!     compute an all-pairs path table and save it (text format)
-//!
-//! jellytool faults --switches N --ports X --net-ports Y [--seed S]
-//!                  [--fault-seed F] [--k K] [--mech NAME] [--rates CSV]
-//!                  [--pattern perm|uniform] [--paper true] [--audit true]
-//!                  [--threads T] [--out FILE] [--metrics FILE]
-//!     sweep link-failure rates (default 0-5%) across KSP/rKSP/EDKSP/
-//!     rEDKSP and emit per-scheme saturation throughput as JSON
-//!
-//! jellytool stats --switches N --ports X --net-ports Y [--seed S] [--k K]
-//!                 [--selection NAME] [--mech NAME] [--rate R]
-//!                 [--pattern perm|uniform] [--paper true] [--stride C]
-//!                 [--audit true] [--threads T] [--out FILE] [--metrics FILE]
-//!     run one simulation and emit a JSON observability report: latency
-//!     percentiles (p50/p90/p99/p999) always; the per-link utilization
-//!     heatmap and occupancy/credit-stall time series when built with
-//!     `--features obs`
-//!
-//! jellytool scenario --switches N --ports X --net-ports Y [--seed S] [--k K]
-//!                    [--scenario steady|flows|hotspot|shift] [--plan FILE]
-//!                    [--plan-out FILE] [--rate-min A] [--rate-max B]
-//!                    [--rate-step C] [--paper true] [--audit true]
-//!                    [--threads T] [--out FILE] [--metrics FILE]
-//!     run a dynamic traffic scenario (Poisson flow arrivals with
-//!     bounded-Pareto sizes, hotspot matrices, mid-run demand shifts —
-//!     a built-in plan or a `jellyfish-scenario v1` file) across
-//!     KSP/rKSP/EDKSP/rEDKSP (+ UGAL) over a load grid, and emit flow
-//!     counts and FCT percentiles (p50/p99) per scheme as JSON.
-//!     `--plan-out FILE` writes the materialized plan text
-//!
-//! jellytool expand --switches N --ports X --net-ports Y --add M [--seed S]
-//!                  [--expand-seed E] [--selection NAME] [--k K]
-//!                  [--plan FILE] [--out FILE]
-//!     grow an RRG by M switches with bounded recabling (the Jellyfish
-//!     incremental-expansion procedure), extend-and-repair the all-pairs
-//!     path table, and report the recable plan, repair cost, and
-//!     path-quality drift (hop inflation, path-count deficit) of
-//!     grow-and-repair versus a fresh rebuild, as deterministic JSON
-//!
-//! jellytool cache warm  --cache-dir DIR --switches N --ports X --net-ports Y
-//!                       [--seed S] [--selection NAME|all] [--k K]
-//! jellytool cache stats --cache-dir DIR
-//! jellytool cache clear --cache-dir DIR
-//!     manage the content-addressed path-table cache (`jellyfish-ptab v2`
-//!     files keyed on graph fingerprint, scheme, pair set and seed)
-//!
-//! jellytool bench [--quick|--full] [--runs N] [--filter SUBSTR]
-//!                 [--out-dir DIR] [--baseline FILE|DIR] [--tolerance PCT]
-//!                 [--threads T]
-//!     run the built-in performance suite (topology build, all-pairs
-//!     path precomputation per scheme, cache cold/warm, simulator
-//!     cycles/s, fault repair); each workload runs N times and writes
-//!     `BENCH_<name>.json` (`jellyfish-bench v1`: median + IQR + raw
-//!     samples). With --baseline, compares medians and exits nonzero
-//!     on any regression beyond the tolerance (default 25%)
-//!
-//! jellytool serve --switches N --ports X --net-ports Y [--seed S]
-//!                 [--selection NAME] [--k K] [--addr HOST:PORT]
-//!                 [--cache-dir DIR] [--cache-max-files F] [--cache-max-mb M]
-//!     run the routing-as-a-service daemon: load the RRG + path table
-//!     (through the disk cache when --cache-dir is given — bounded by
-//!     default for daemons) and serve GET /paths/{src}/{dst},
-//!     POST /faults, POST /repair, GET /metrics, GET /trace,
-//!     GET /events (long-poll cursor or chunked streaming),
-//!     GET /healthz and POST /shutdown over HTTP/1.1. `--addr` with
-//!     port 0 binds an ephemeral port (printed to stderr)
-//!
-//! jellytool tail [--addr HOST:PORT] [--since SEQ] [--wait-ms MS]
-//!                [--count N] [--out FILE] [--until-idle] [--follow]
-//!     tail a running daemon's structured event journal: long-polls
-//!     GET /events from cursor SEQ (default 0 = from the oldest
-//!     retained event), prints `jellyfish-events v1` lines to stdout,
-//!     and with --out also writes the full captured document to FILE.
-//!     --until-idle exits on the first empty poll (CI capture mode);
-//!     --count N stops after at least N events; --follow switches to
-//!     the server's chunked streaming mode and relays it verbatim
-//!     until shutdown
-//!
-//! jellytool soak  --switches N --ports X --net-ports Y [--seed S]
-//!                 [--selection NAME] [--k K] [--queries Q] [--threads T]
-//!                 [--churn C] [--fault-rate R] [--rss-budget-mb B]
-//!                 [--cache-dir DIR] [--out FILE] [--metrics FILE]
-//!     drive the serve dispatch path in-process: Q path queries
-//!     (default 1M) from T threads with C interleaved fault+repair
-//!     cycles; emits latency percentiles, QPS and RSS as JSON and
-//!     exits nonzero if any query fails or RSS growth exceeds the
-//!     budget (default 64 MiB)
-//! ```
-//!
-//! `table`, `faults`, `stats`, `cache` and `bench` accept `--trace FILE`:
-//! hierarchical tracing is then enabled for the whole command, the
-//! timeline is written to FILE as Chrome Trace Event Format JSON (load
-//! in `chrome://tracing` or Perfetto), and a flame summary with
-//! self-time attribution is printed to stderr.
-//!
-//! `table`, `faults` and `stats` additionally accept `--cache-dir DIR`:
-//! path tables are then loaded from (and stored into) the cache instead
-//! of being recomputed. Results are bit-identical either way.
-//!
-//! `faults` and `stats` accept `--audit true` (builds with `--features
-//! audit`): every simulation then runs under the per-cycle invariant
-//! auditor, which panics with a structured diagnostic on the first
-//! conservation, routing, or forward-progress violation. Results are
-//! bit-identical with and without the auditor.
-//!
-//! `faults`, `stats` and `bench` accept `--threads T`: every simulation
-//! then runs on the sharded parallel engine with T worker threads.
-//! Results are byte-identical to serial runs for the same seed — the
-//! flag trades cores for wall clock, nothing else.
-//!
-//! Unknown flags are rejected (against a per-subcommand allowlist), as
-//! are duplicate flags and flag-like values: `--out --seed` is a missing
-//! value, not a file named `--seed`. `--metrics FILE` dumps the global
-//! registry (timing spans, run counters) as `jellyfish-metrics v1` text.
+//! A flag shared between commands is one [`Flag`] value, and the side
+//! effects of the shared flags run in one place for every command
+//! ([`Flags::setup`], [`Flags::finish`]). None of them changes a result:
+//! output is byte-identical with and without the path-table cache or the
+//! invariant auditor, and at any simulator shard count.
 
 use jellyfish::prelude::*;
 use jellyfish::routing::save_table;
 use jellyfish::topology::analysis::{distance_histogram, estimate_bisection, to_dot};
 use jellyfish::JellyfishNetwork;
-use jellyfish_bench::experiments::faults as faults_exp;
+use jellyfish_bench::experiments::{
+    ablation, collective, faults as faults_exp, latency, model, properties, saturation, stencil,
+};
+use jellyfish_bench::serve::ServeState;
 use jellyfish_bench::Scale;
 use jellyfish_routing::{DiskBudget, PairSet, PathCache, PathTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
+use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  jellytool topo  --switches N --ports X --net-ports Y [--seed S] [--dot FILE]\n  \
-         jellytool paths --switches N --ports X --net-ports Y --src A --dst B [--seed S] [--k K]\n  \
-         jellytool table --switches N --ports X --net-ports Y --selection <sp|ksp|rksp|edksp|redksp> --out FILE [--seed S] [--k K]\n  \
-         jellytool faults --switches N --ports X --net-ports Y [--seed S] [--fault-seed F] [--k K] [--mech <sp|random|rr|ugal|ksp-ugal|adaptive>] [--rates CSV] [--pattern perm|uniform] [--paper true] [--audit true] [--threads T] [--out FILE] [--metrics FILE]\n  \
-         jellytool stats --switches N --ports X --net-ports Y [--seed S] [--k K] [--selection NAME] [--mech NAME] [--rate R] [--pattern perm|uniform] [--paper true] [--stride C] [--audit true] [--threads T] [--out FILE] [--metrics FILE]\n  \
-         jellytool scenario --switches N --ports X --net-ports Y [--seed S] [--k K] [--scenario steady|flows|hotspot|shift] [--plan FILE] [--plan-out FILE] [--rate-min A] [--rate-max B] [--rate-step C] [--paper true] [--audit true] [--threads T] [--out FILE] [--metrics FILE]\n  \
-         jellytool expand --switches N --ports X --net-ports Y --add M [--seed S] [--expand-seed E] [--selection NAME] [--k K] [--plan FILE] [--out FILE]\n  \
-         jellytool cache <warm|stats|clear> --cache-dir DIR [--switches N --ports X --net-ports Y] [--seed S] [--selection NAME|all] [--k K]\n  \
-         jellytool bench [--quick|--full] [--runs N] [--filter SUBSTR] [--out-dir DIR] [--baseline FILE|DIR] [--tolerance PCT] [--threads T]\n  \
-         jellytool serve --switches N --ports X --net-ports Y [--seed S] [--selection NAME] [--k K] [--addr HOST:PORT] [--cache-dir DIR] [--cache-max-files F] [--cache-max-mb M]\n  \
-         jellytool soak  --switches N --ports X --net-ports Y [--seed S] [--selection NAME] [--k K] [--queries Q] [--threads T] [--churn C] [--fault-rate R] [--rss-budget-mb B] [--cache-dir DIR] [--out FILE] [--metrics FILE]\n  \
-         jellytool tail  [--addr HOST:PORT] [--since SEQ] [--wait-ms MS] [--count N] [--out FILE] [--until-idle] [--follow]\n\
-         (table/faults/stats also accept --cache-dir DIR to reuse cached path tables;\n\
-          table/faults/stats/cache/bench accept --trace FILE for a Chrome-trace timeline;\n\
-          faults/stats/bench accept --threads T for the sharded parallel engine — byte-identical results)"
-    );
-    std::process::exit(2);
+/// One flag: `--name` followed by a value, or a valueless switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Flag {
+    name: &'static str,
+    /// Placeholder for the value in help text; `None` for a switch.
+    meta: Option<&'static str>,
+    help: &'static str,
 }
 
-const COMMON_FLAGS: [&str; 4] = ["switches", "ports", "net-ports", "seed"];
+const fn value(name: &'static str, meta: &'static str, help: &'static str) -> Flag {
+    Flag { name, meta: Some(meta), help }
+}
 
-/// Parses `--name value` pairs, rejecting anything not in `allowed`,
-/// duplicates, and flag-like values (a following `--x` is a missing
-/// value, not a value). Names in `bools` are valueless switches
-/// (`--quick`) stored as `"true"`.
-fn try_parse_flags(
-    args: &[String],
-    allowed: &[&str],
-    bools: &[&str],
-) -> Result<HashMap<String, String>, String> {
-    let mut map = HashMap::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("expected a --flag, got {flag:?}"));
-        };
-        let value = if bools.contains(&name) {
-            "true".to_string()
-        } else if allowed.contains(&name) {
-            let Some(value) = it.next() else {
-                return Err(format!("--{name} needs a value"));
-            };
-            if value.starts_with("--") {
-                return Err(format!("--{name} needs a value, got flag {value:?}"));
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag { name, meta: None, help }
+}
+
+impl Flag {
+    /// `--name META`, or `--name` for a switch.
+    fn synopsis(&self) -> String {
+        match self.meta {
+            Some(meta) => format!("--{} {meta}", self.name),
+            None => format!("--{}", self.name),
+        }
+    }
+}
+
+/// One subcommand and everything the parser and the help text need.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    /// Placeholder and accepted values of a leading positional operand.
+    operand: Option<(&'static str, &'static [&'static str])>,
+    /// Flag groups, so shared groups are written once.
+    flags: &'static [&'static [Flag]],
+    /// Runs the command; `Err` is printed and exits 1 after the shared
+    /// flags' outputs are written.
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+const TOPO: &[Flag] = &[
+    value("switches", "N", "switches in the RRG (required)"),
+    value("ports", "X", "ports per switch (required)"),
+    value("net-ports", "Y", "switch-to-switch ports per switch (required)"),
+    value("seed", "S", "topology seed (default 1)"),
+];
+const K: Flag = value("k", "K", "paths per switch pair (default 8)");
+const SELECTION: Flag =
+    value("selection", "NAME", "path selection: sp|ksp|rksp|edksp|redksp (default redksp)");
+const MECH: Flag =
+    value("mech", "NAME", "routing: sp|random|rr|ugal|ksp-ugal|adaptive (default adaptive)");
+const OUT: Flag = value("out", "FILE", "write the JSON report to FILE instead of stdout");
+const CACHE_DIR: Flag =
+    value("cache-dir", "DIR", "load and store path tables through this content-addressed cache");
+/// The daemons' cache: the same flag, but its disk store is bounded by
+/// default, since a long-running service must not leak disk.
+const DAEMON_CACHE_DIR: Flag =
+    value("cache-dir", "DIR", "path-table cache, bounded to 64 files / 1 GiB unless overridden");
+const THREADS: Flag =
+    value("threads", "T", "simulator shards per run (byte-identical results at any count)");
+const METRICS: Flag =
+    value("metrics", "FILE", "write timing spans and run counters as jellyfish-metrics v1 text");
+const TRACE: Flag =
+    value("trace", "FILE", "write a Chrome-trace timeline to FILE and a flame summary to stderr");
+/// What every simulating command accepts.
+const SIM: &[Flag] = &[
+    switch("paper", "paper-scale instance counts and simulation windows"),
+    switch("audit", "check every simulation's invariants each cycle (--features audit)"),
+    THREADS,
+    METRICS,
+    CACHE_DIR,
+    TRACE,
+];
+
+/// Every experiment `repro` accepts. `all` runs the first [`PAPER_RUNS`],
+/// one per table and figure of the paper (`properties` prints Tables
+/// II-IV in one pass); `ablations` runs every `ablation-*` in order.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "properties",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "table5",
+    "table6",
+    "table2",
+    "table3",
+    "table4",
+    "collectives",
+    "ablation-k",
+    "ablation-llskr",
+    "ablation-construction",
+    "ablation-ugal-bias",
+    "ablation-estimate",
+    "ablation-flits",
+    "ablation-injection",
+    "ablations",
+    "faults",
+    "all",
+];
+const PAPER_RUNS: usize = 14;
+
+/// The one source of truth for commands and their flags.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "topo",
+        about: "print Table-I style metrics of one RRG",
+        operand: None,
+        flags: &[TOPO, &[value("dot", "FILE", "also write the topology as Graphviz DOT")]],
+        run: topo,
+    },
+    Command {
+        name: "paths",
+        about: "print the paths every selection scheme computes for one switch pair",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                value("src", "A", "source switch (required)"),
+                value("dst", "B", "destination switch (required)"),
+                K,
+            ],
+        ],
+        run: paths,
+    },
+    Command {
+        name: "table",
+        about: "compute an all-pairs path table and save it in the text format",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                value("selection", "NAME", "path selection: sp|ksp|rksp|edksp|redksp (required)"),
+                value("out", "FILE", "where to save the table (required)"),
+                K,
+                CACHE_DIR,
+                TRACE,
+            ],
+        ],
+        run: table,
+    },
+    Command {
+        name: "faults",
+        about: "sweep link-failure rates; saturation throughput per selection scheme as JSON",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                value("fault-seed", "F", "fault-plan seed (default 2021)"),
+                K,
+                MECH,
+                value("rates", "CSV", "link-failure rates (default 0 to 5%)"),
+                value("pattern", "perm|uniform", "traffic pattern (default perm)"),
+                OUT,
+            ],
+            SIM,
+        ],
+        run: faults,
+    },
+    Command {
+        name: "stats",
+        about: "run one simulation; latency percentiles and telemetry as JSON",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                K,
+                SELECTION,
+                MECH,
+                value("rate", "R", "offered load per host (default 0.3)"),
+                value("pattern", "uniform|perm", "traffic pattern (default uniform)"),
+                value("stride", "C", "telemetry sampling stride in cycles (default 64)"),
+                OUT,
+            ],
+            SIM,
+        ],
+        run: stats,
+    },
+    Command {
+        name: "scenario",
+        about: "sweep a traffic scenario over a load grid; flows and FCT per scheme as JSON",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                K,
+                value("scenario", "NAME", "steady|flows|hotspot|shift (default shift)"),
+                value("plan", "FILE", "run this jellyfish-scenario v1 plan instead"),
+                value("plan-out", "FILE", "write the plan text that was run"),
+                value("rate-min", "A", "smallest load factor (default 0.5)"),
+                value("rate-max", "B", "largest load factor (default 1.0)"),
+                value("rate-step", "C", "load-factor step (default 0.25)"),
+                OUT,
+            ],
+            SIM,
+        ],
+        run: scenario_cmd,
+    },
+    Command {
+        name: "expand",
+        about: "grow an RRG with bounded recabling; repair cost and path drift as JSON",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                value("add", "M", "switches to add (required)"),
+                value("expand-seed", "E", "expansion seed (default 2021)"),
+                value("selection", "NAME", "path selection (default edksp)"),
+                value("k", "K", "paths per switch pair (default 4)"),
+                value("plan", "FILE", "write the recable plan to FILE"),
+                OUT,
+                TRACE,
+            ],
+        ],
+        run: expand,
+    },
+    Command {
+        name: "cache",
+        about: "warm, list or clear a path-table cache directory",
+        operand: Some(("ACTION", &["warm", "stats", "clear"])),
+        flags: &[
+            TOPO,
+            &[
+                CACHE_DIR,
+                value("selection", "NAME", "scheme to warm, or all (default redksp)"),
+                K,
+                TRACE,
+            ],
+        ],
+        run: cache_cmd,
+    },
+    Command {
+        name: "bench",
+        about: "run the performance suite; write BENCH_<name>.json and gate against a baseline",
+        operand: None,
+        flags: &[&[
+            switch("quick", "quick tier (the default)"),
+            switch("full", "full tier"),
+            value("runs", "N", "runs per workload (default 5)"),
+            value("filter", "SUBSTR", "only workloads whose name contains SUBSTR"),
+            value("out-dir", "DIR", "where the reports go (default .)"),
+            value("baseline", "FILE|DIR", "gate the medians against these reports"),
+            value("tolerance", "PCT", "regression bound in percent (default 25)"),
+            THREADS,
+            TRACE,
+        ]],
+        run: bench_cmd,
+    },
+    Command {
+        name: "serve",
+        about: "serve paths, faults, repair, metrics, trace and events over HTTP/1.1",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                SELECTION,
+                K,
+                value("addr", "HOST:PORT", "bind address, port 0 = any (default 127.0.0.1:7380)"),
+                DAEMON_CACHE_DIR,
+                value("cache-max-files", "F", "cache file budget (default 64)"),
+                value("cache-max-mb", "M", "cache size budget in MiB (default 1024)"),
+            ],
+        ],
+        run: serve_cmd,
+    },
+    Command {
+        name: "soak",
+        about: "load-test the daemon's dispatch in-process under fault churn; report as JSON",
+        operand: None,
+        flags: &[
+            TOPO,
+            &[
+                SELECTION,
+                K,
+                value("queries", "Q", "path queries in total (default 1000000)"),
+                value("threads", "T", "query threads (default 4)"),
+                value("churn", "C", "fault+repair cycles interleaved with the queries"),
+                value("fault-rate", "R", "link-failure rate of each churn cycle"),
+                value("rss-budget-mb", "B", "allowed RSS growth in MiB (default 64)"),
+                DAEMON_CACHE_DIR,
+                OUT,
+                METRICS,
+            ],
+        ],
+        run: soak_cmd,
+    },
+    Command {
+        name: "tail",
+        about: "print a running daemon's event journal as jellyfish-events v1 text",
+        operand: None,
+        flags: &[&[
+            value("addr", "HOST:PORT", "daemon address (default 127.0.0.1:7380)"),
+            value("since", "SEQ", "start after this event (default 0: the oldest retained)"),
+            value("wait-ms", "MS", "long-poll wait per request (default 2000)"),
+            value("count", "N", "stop after at least N events"),
+            value("out", "FILE", "also write the whole capture to FILE"),
+            switch("until-idle", "stop at the first empty poll"),
+            switch("follow", "relay the daemon's chunked stream until it shuts down"),
+        ]],
+        run: tail_cmd,
+    },
+    Command {
+        name: "repro",
+        about: "regenerate one of the paper's tables or figures (quick scale by default)",
+        operand: Some(("EXPERIMENT", EXPERIMENTS)),
+        flags: &[&[value("seed", "N", "base seed (default 2021)")], SIM],
+        run: repro,
+    },
+];
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    /// Parses `[OPERAND] --flag [value]...`, rejecting an operand outside
+    /// the declared values, flags the command does not declare,
+    /// duplicates, and flag-like values.
+    fn parse(&'static self, args: &[String]) -> Result<Flags, String> {
+        let mut args = args.iter();
+        let mut operand = String::new();
+        if let Some((meta, choices)) = self.operand {
+            match args.next() {
+                Some(word) if choices.contains(&word.as_str()) => operand.clone_from(word),
+                Some(word) if !word.starts_with("--") => {
+                    return Err(format!("{word:?} is not a valid {meta}"))
+                }
+                _ => return Err(format!("missing {meta}")),
             }
-            value.clone()
-        } else {
-            return Err(format!("unknown flag --{name}"));
-        };
-        if map.insert(name.to_string(), value).is_some() {
-            return Err(format!("duplicate flag --{name}"));
         }
+        let mut values = HashMap::new();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("expected a --flag, got {arg:?}"));
+            };
+            let Some(flag) = self.flags().find(|f| f.name == name) else {
+                return Err(format!("unknown flag --{name}"));
+            };
+            let value = match flag.meta.map(|_| args.next()) {
+                None => String::new(),
+                Some(None) => return Err(format!("--{name} needs a value")),
+                Some(Some(v)) if v.starts_with("--") => {
+                    return Err(format!("--{name} needs a value, got flag {v:?}"))
+                }
+                Some(Some(v)) => v.clone(),
+            };
+            if values.insert(flag.name, value).is_some() {
+                return Err(format!("duplicate flag --{name}"));
+            }
+        }
+        Ok(Flags { cmd: self, operand, values })
     }
-    Ok(map)
-}
 
-fn parse_flags(args: &[String], extra: &[&str]) -> HashMap<String, String> {
-    parse_flags_with_bools(args, extra, &[])
-}
-
-fn parse_flags_with_bools(
-    args: &[String],
-    extra: &[&str],
-    bools: &[&str],
-) -> HashMap<String, String> {
-    let allowed: Vec<&str> = COMMON_FLAGS.iter().chain(extra).copied().collect();
-    try_parse_flags(args, &allowed, bools).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        usage()
-    })
-}
-
-fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
-    flags.get(key).and_then(|v| v.parse().ok())
-}
-
-fn required<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> T {
-    num(flags, key).unwrap_or_else(|| {
-        eprintln!("missing or invalid --{key}");
-        usage()
-    })
-}
-
-fn network(flags: &HashMap<String, String>) -> (RrgParams, JellyfishNetwork, u64) {
-    let params = RrgParams::new(
-        required(flags, "switches"),
-        required(flags, "ports"),
-        required(flags, "net-ports"),
-    );
-    let seed: u64 = num(flags, "seed").unwrap_or(1);
-    match JellyfishNetwork::build(params, seed) {
-        Ok(net) => (params, net, seed),
-        Err(e) => {
-            eprintln!("cannot build RRG: {e}");
-            std::process::exit(1);
+    /// `jellytool <command> --help`: the synopsis, the operand's values
+    /// and one line per flag. `jellytool help` prints every command's.
+    fn help(&self) -> String {
+        let operand = self.operand.map(|(meta, _)| format!(" {meta}")).unwrap_or_default();
+        let mut s = format!("usage: jellytool {}{operand} [flags]\n  {}\n", self.name, self.about);
+        if let Some((meta, choices)) = self.operand {
+            writeln!(s, "{meta} is one of:").unwrap();
+            for line in choices.chunks(7) {
+                writeln!(s, "    {}", line.join(" ")).unwrap();
+            }
         }
+        for f in self.flags() {
+            writeln!(s, "  {:<24} {}", f.synopsis(), f.help).unwrap();
+        }
+        s
     }
 }
 
-fn selection(name: &str, k: usize) -> PathSelection {
+/// Prints `error: MSG` and the usage of `cmd` (or the list of commands)
+/// to stderr, then exits 2.
+fn fail(cmd: Option<&Command>, msg: &str) -> ! {
+    eprintln!("error: {msg}\n");
+    match cmd {
+        Some(cmd) => eprint!("{}", cmd.help()),
+        None => {
+            let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+            eprintln!(
+                "usage: jellytool <{}> [flags]\n`jellytool help` lists every flag",
+                names.join("|")
+            );
+        }
+    }
+    std::process::exit(2)
+}
+
+/// A parsed command line.
+struct Flags {
+    cmd: &'static Command,
+    /// The positional operand; empty for commands without one.
+    operand: String,
+    /// Given flags by name; switches map to an empty value.
+    values: HashMap<&'static str, String>,
+}
+
+impl Flags {
+    fn get(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    /// True if the switch (or flag) `--name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    /// `--name` parsed as `T`. A value that does not parse is a usage
+    /// error, never a silent fallback to the default.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.get(name)?;
+        Some(v.parse().unwrap_or_else(|_| self.fail(&format!("cannot parse --{name} {v:?}"))))
+    }
+
+    fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.num(name).unwrap_or(default)
+    }
+
+    fn required<T: std::str::FromStr>(&self, name: &str) -> T {
+        self.num(name).unwrap_or_else(|| self.fail(&format!("missing --{name}")))
+    }
+
+    fn fail(&self, msg: &str) -> ! {
+        fail(Some(self.cmd), msg)
+    }
+
+    /// True if the command declares exactly this flag (name and meaning).
+    fn declares(&self, flag: &Flag) -> bool {
+        self.cmd.flags().any(|f| f == flag)
+    }
+
+    /// Side effects of the shared flags, before the command runs:
+    /// `--cache-dir` installs the process-wide path-table cache, `--audit`
+    /// the per-cycle invariant auditor, `--threads` the simulator shard
+    /// count, and `--trace` turns hierarchical tracing on so the timeline
+    /// starts at the root.
+    fn setup(&self) {
+        if let Some(dir) = self.get("cache-dir") {
+            let mut cache = PathCache::new(dir).unwrap_or_else(|e| {
+                eprintln!("cannot open cache dir {dir}: {e}");
+                std::process::exit(1);
+            });
+            if self.declares(&DAEMON_CACHE_DIR) {
+                let files = self.num_or("cache-max-files", 64);
+                let mb: u64 = self.num_or("cache-max-mb", 1024);
+                cache = cache.with_disk_budget(DiskBudget::bounded(files, mb << 20));
+            }
+            jellyfish_routing::cache::install_global(cache);
+        }
+        if self.on("audit") {
+            #[cfg(feature = "audit")]
+            jellyfish_flitsim::audit::install_global(jellyfish_flitsim::AuditConfig::default());
+            #[cfg(not(feature = "audit"))]
+            eprintln!("note: --audit has no effect without --features audit");
+        }
+        if self.declares(&THREADS) {
+            if let Some(n) = self.num::<usize>("threads") {
+                if n == 0 {
+                    self.fail("--threads must be an integer >= 1");
+                }
+                jellyfish_flitsim::install_threads(n);
+            }
+        }
+        if self.on("trace") {
+            jellyfish_obs::trace::enable(jellyfish_obs::trace::TraceConfig::default());
+        }
+    }
+
+    /// Outputs of the shared flags, after the command ran: `--metrics`
+    /// drains the global registry as `jellyfish-metrics v1` text, and
+    /// `--trace` writes Chrome Trace Event Format JSON plus a flame
+    /// summary (self-time per span name) on stderr.
+    fn finish(&self) {
+        if let Some(path) = self.get("metrics") {
+            let registry = jellyfish_obs::take_global();
+            let mut buf = Vec::new();
+            jellyfish_obs::write_metrics(&registry, &mut buf).expect("serialize metrics");
+            std::fs::write(path, buf).expect("write metrics file");
+            eprintln!("wrote metrics to {path}");
+        }
+        if let Some(path) = self.get("trace") {
+            jellyfish_obs::trace::disable();
+            let trace = jellyfish_obs::trace::take();
+            std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
+            eprint!("{}", trace.render_flame());
+            eprintln!("wrote trace to {path} ({} events)", trace.len());
+        }
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = args.split_first() else { fail(None, "missing command") };
+    if name == "help" || name == "--help" {
+        COMMANDS.iter().for_each(|c| println!("{}", c.help()));
+        return;
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        fail(None, &format!("unknown command {name:?}"))
+    };
+    if rest.iter().any(|a| a == "--help") {
+        print!("{}", cmd.help());
+        return;
+    }
+    let flags = cmd.parse(rest).unwrap_or_else(|e| fail(Some(cmd), &e));
+    flags.setup();
+    let result = (cmd.run)(&flags);
+    flags.finish();
+    if let Err(e) = result {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
+}
+
+fn topo_params(flags: &Flags) -> RrgParams {
+    RrgParams::new(flags.required("switches"), flags.required("ports"), flags.required("net-ports"))
+}
+
+fn network(flags: &Flags) -> Result<(RrgParams, JellyfishNetwork, u64), String> {
+    let params = topo_params(flags);
+    let seed = flags.num_or("seed", 1);
+    let net =
+        JellyfishNetwork::build(params, seed).map_err(|e| format!("cannot build RRG: {e}"))?;
+    Ok((params, net, seed))
+}
+
+fn selection(flags: &Flags, name: &str, k: usize) -> PathSelection {
     match name {
         "sp" => PathSelection::SinglePath,
         "ksp" => PathSelection::Ksp(k),
         "rksp" => PathSelection::RKsp(k),
         "edksp" => PathSelection::EdKsp(k),
         "redksp" => PathSelection::REdKsp(k),
-        other => {
-            eprintln!("unknown selection {other:?}");
-            usage()
-        }
+        other => flags.fail(&format!("unknown selection {other:?}")),
     }
 }
 
-fn mechanism(name: &str) -> Mechanism {
-    match name {
+/// The four multi-path selection schemes the paper compares.
+fn schemes(k: usize) -> [PathSelection; 4] {
+    [
+        PathSelection::Ksp(k),
+        PathSelection::RKsp(k),
+        PathSelection::EdKsp(k),
+        PathSelection::REdKsp(k),
+    ]
+}
+
+fn mechanism(flags: &Flags) -> Mechanism {
+    match flags.get("mech").unwrap_or("adaptive") {
         "sp" => Mechanism::SinglePath,
         "random" => Mechanism::Random,
         "rr" => Mechanism::RoundRobin,
         "ugal" => Mechanism::VanillaUgal,
         "ksp-ugal" => Mechanism::KspUgal,
         "adaptive" => Mechanism::KspAdaptive,
-        other => {
-            eprintln!("unknown mechanism {other:?}");
-            usage()
-        }
+        other => flags.fail(&format!("unknown mechanism {other:?}")),
     }
 }
 
-/// Installs the process-wide path-table cache if `--cache-dir DIR` was
-/// given; `JellyfishNetwork::paths` then loads/stores tables through it.
-fn install_cache(flags: &HashMap<String, String>) {
-    if let Some(dir) = flags.get("cache-dir") {
-        match PathCache::new(dir) {
-            Ok(cache) => jellyfish_routing::cache::install_global(cache),
-            Err(e) => {
-                eprintln!("cannot open cache dir {dir}: {e}");
-                std::process::exit(1);
+fn scale(flags: &Flags) -> Scale {
+    if flags.on("paper") {
+        Scale::Paper
+    } else {
+        Scale::Quick
+    }
+}
+
+/// Writes a command's report to `--out FILE`, or to stdout without it.
+fn emit(flags: &Flags, report: &str) {
+    match flags.get("out") {
+        Some(path) => {
+            std::fs::write(path, report).expect("write report file");
+            eprintln!("wrote {path}");
+        }
+        None => print!("{report}"),
+    }
+}
+
+/// `jellytool repro`: prints one of the paper's tables or figures (or a
+/// group of them) on stdout and its wall time on stderr.
+fn repro(flags: &Flags) -> Result<(), String> {
+    let t0 = Instant::now();
+    run_experiment(&flags.operand, scale(flags), flags.num_or("seed", 2021));
+    eprintln!("\n[{}] done in {:.1?}", flags.operand, t0.elapsed());
+    Ok(())
+}
+
+fn run_experiment(what: &str, scale: Scale, seed: u64) {
+    match what {
+        "table1" => properties::print_table1(&properties::table1(seed)),
+        "table2" | "table3" | "table4" | "properties" => {
+            let cells = properties::property_cells(scale, seed);
+            properties::print_property_tables(&cells);
+        }
+        "fig4" | "fig5" | "fig6" => {
+            let which: u8 = what[3..].parse().expect("figure index");
+            model::print_model_figure(&model::figure(which, scale, seed));
+        }
+        "fig7" | "fig8" | "fig9" | "fig10" => {
+            let which: u8 = what[3..].parse().expect("figure index");
+            saturation::print_saturation_figure(&saturation::figure(which, scale, seed));
+        }
+        "fig11" | "fig12" | "fig13" => {
+            let which: u8 = what[3..].parse().expect("figure index");
+            latency::print_latency_figure(&latency::figure(which, scale, seed));
+        }
+        "ablation-k" => ablation::ablation_k(scale, seed),
+        "ablation-llskr" => ablation::ablation_llskr(scale, seed),
+        "ablation-construction" => ablation::ablation_construction(seed),
+        "ablation-ugal-bias" => ablation::ablation_ugal_bias(scale, seed),
+        "ablation-injection" => ablation::ablation_injection(scale, seed),
+        "ablation-estimate" => ablation::ablation_estimate(scale, seed),
+        "ablation-flits" => ablation::ablation_flits(scale, seed),
+        "collectives" => collective::print_collectives(&collective::collectives(scale, seed)),
+        "faults" => {
+            let params = RrgParams::new(64, 11, 8);
+            let fig = faults_exp::fault_sweep(
+                params,
+                8,
+                Mechanism::KspAdaptive,
+                faults_exp::FaultTraffic::Permutation,
+                &faults_exp::default_rates(),
+                scale,
+                seed,
+                seed ^ 0xFA,
+            );
+            faults_exp::print_fault_figure(&fig);
+        }
+        "ablations" => {
+            for (i, exp) in EXPERIMENTS.iter().filter(|e| e.starts_with("ablation-")).enumerate() {
+                if i > 0 {
+                    println!();
+                }
+                run_experiment(exp, scale, seed);
             }
         }
-    }
-}
-
-/// Installs the process-wide invariant auditor if `--audit true` was
-/// given: every simulation the command runs then executes under the
-/// per-cycle conservation, routing, and forward-progress checks and
-/// panics with a flight-recorder diagnostic on the first violation.
-fn enable_audit(flags: &HashMap<String, String>) {
-    if flags.contains_key("audit") {
-        #[cfg(feature = "audit")]
-        jellyfish_flitsim::audit::install_global(jellyfish_flitsim::AuditConfig::default());
-        #[cfg(not(feature = "audit"))]
-        eprintln!("note: --audit has no effect without --features audit");
-    }
-}
-
-/// Installs the process-wide worker-thread count if `--threads T` was
-/// given: every simulation the command runs (directly or inside a
-/// sweep) then uses the sharded parallel engine. Results are
-/// byte-identical to serial for the same seed.
-fn install_threads_flag(flags: &HashMap<String, String>) {
-    if let Some(v) = flags.get("threads") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => jellyfish_flitsim::install_threads(n),
-            _ => {
-                eprintln!("error: --threads must be an integer >= 1");
-                usage()
+        "table5" => stencil::print_stencil_table(&stencil::table(true, scale, seed), true),
+        "table6" => stencil::print_stencil_table(&stencil::table(false, scale, seed), false),
+        "all" => {
+            for exp in &EXPERIMENTS[..PAPER_RUNS] {
+                let t = Instant::now();
+                println!("=== {exp} ===");
+                run_experiment(exp, scale, seed);
+                println!("--- {exp} finished in {:.1?} ---\n", t.elapsed());
             }
         }
+        other => unreachable!("experiment {other:?} is in EXPERIMENTS but has no arm"),
     }
 }
 
-/// Dumps the global metrics registry (and resets it) as
-/// `jellyfish-metrics v1` text if `--metrics FILE` was given.
-fn dump_metrics(flags: &HashMap<String, String>) {
-    if let Some(path) = flags.get("metrics") {
-        let registry = jellyfish_obs::take_global();
-        let mut buf = Vec::new();
-        jellyfish_obs::write_metrics(&registry, &mut buf).expect("serialize metrics");
-        std::fs::write(path, buf).expect("write metrics file");
-        eprintln!("wrote metrics to {path}");
-    }
-}
-
-/// Turns hierarchical tracing on if `--trace FILE` was given. Must run
-/// before any instrumented work so the timeline starts at the root.
-fn enable_trace(flags: &HashMap<String, String>) {
-    if flags.contains_key("trace") {
-        jellyfish_obs::trace::enable(jellyfish_obs::trace::TraceConfig::default());
-    }
-}
-
-/// If tracing was enabled, drains the trace, writes Chrome Trace Event
-/// Format JSON to the `--trace` file, and prints the flame summary
-/// (self-time attribution per span name) to stderr.
-fn dump_trace(flags: &HashMap<String, String>) {
-    if let Some(path) = flags.get("trace") {
-        jellyfish_obs::trace::disable();
-        let trace = jellyfish_obs::trace::take();
-        std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
-        eprint!("{}", trace.render_flame());
-        eprintln!("wrote trace to {path} ({} events)", trace.len());
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else { usage() };
-    match cmd.as_str() {
-        "topo" => topo(&parse_flags(rest, &["dot"])),
-        "paths" => paths(&parse_flags(rest, &["src", "dst", "k"])),
-        "table" => table(&parse_flags(rest, &["selection", "out", "k", "cache-dir", "trace"])),
-        "faults" => faults(&parse_flags(
-            rest,
-            &[
-                "fault-seed",
-                "k",
-                "mech",
-                "rates",
-                "pattern",
-                "paper",
-                "audit",
-                "threads",
-                "out",
-                "metrics",
-                "cache-dir",
-                "trace",
-            ],
-        )),
-        "stats" => stats(&parse_flags(
-            rest,
-            &[
-                "k",
-                "selection",
-                "mech",
-                "rate",
-                "pattern",
-                "paper",
-                "stride",
-                "audit",
-                "threads",
-                "out",
-                "metrics",
-                "cache-dir",
-                "trace",
-            ],
-        )),
-        "scenario" => scenario_cmd(&parse_flags(
-            rest,
-            &[
-                "k",
-                "scenario",
-                "plan",
-                "plan-out",
-                "rate-min",
-                "rate-max",
-                "rate-step",
-                "paper",
-                "audit",
-                "threads",
-                "out",
-                "metrics",
-                "cache-dir",
-                "trace",
-            ],
-        )),
-        "expand" => expand(&parse_flags(
-            rest,
-            &["add", "expand-seed", "selection", "k", "plan", "out", "trace"],
-        )),
-        "cache" => {
-            let Some((action, rest)) = rest.split_first() else { usage() };
-            cache_cmd(action, &parse_flags(rest, &["cache-dir", "selection", "k", "trace"]));
-        }
-        "bench" => bench_cmd(&parse_flags_with_bools(
-            rest,
-            &["runs", "out-dir", "baseline", "tolerance", "filter", "trace", "threads"],
-            &["quick", "full"],
-        )),
-        "serve" => serve_cmd(&parse_flags(
-            rest,
-            &["addr", "selection", "k", "cache-dir", "cache-max-files", "cache-max-mb"],
-        )),
-        "tail" => tail_cmd(&parse_flags_with_bools(
-            rest,
-            &["addr", "since", "wait-ms", "count", "out"],
-            &["until-idle", "follow"],
-        )),
-        "soak" => soak_cmd(&parse_flags(
-            rest,
-            &[
-                "selection",
-                "k",
-                "queries",
-                "threads",
-                "churn",
-                "fault-rate",
-                "rss-budget-mb",
-                "cache-dir",
-                "out",
-                "metrics",
-            ],
-        )),
-        _ => usage(),
-    }
-}
-
-fn topo(flags: &HashMap<String, String>) {
-    let (params, net, seed) = network(flags);
+fn topo(flags: &Flags) -> Result<(), String> {
+    let (params, net, seed) = network(flags)?;
     let stats = net.stats();
     println!(
         "RRG({}, {}, {}) seed {seed}: {} hosts, {} switch links",
@@ -474,19 +719,15 @@ fn topo(flags: &HashMap<String, String>) {
         std::fs::write(path, to_dot(net.graph(), "jellyfish")).expect("write DOT file");
         println!("wrote {path}");
     }
+    Ok(())
 }
 
-fn paths(flags: &HashMap<String, String>) {
-    let (_, net, seed) = network(flags);
-    let src: u32 = required(flags, "src");
-    let dst: u32 = required(flags, "dst");
-    let k: usize = num(flags, "k").unwrap_or(8);
-    for sel in [
-        PathSelection::Ksp(k),
-        PathSelection::RKsp(k),
-        PathSelection::EdKsp(k),
-        PathSelection::REdKsp(k),
-    ] {
+fn paths(flags: &Flags) -> Result<(), String> {
+    let (_, net, seed) = network(flags)?;
+    let src: u32 = flags.required("src");
+    let dst: u32 = flags.required("dst");
+    let k: usize = flags.num_or("k", 8);
+    for sel in schemes(k) {
         let found = sel.paths_for_pair(net.graph(), src, dst, seed);
         println!("{} ({} paths):", sel.name(), found.len());
         for p in &found {
@@ -495,32 +736,22 @@ fn paths(flags: &HashMap<String, String>) {
             println!("  [{hops} hops] {}", nodes.join(" -> "));
         }
     }
+    Ok(())
 }
 
-fn cache_cmd(action: &str, flags: &HashMap<String, String>) {
-    enable_trace(flags);
-    let dir = flags.get("cache-dir").unwrap_or_else(|| {
-        eprintln!("cache requires --cache-dir DIR");
-        usage()
-    });
-    let cache = PathCache::new(dir).unwrap_or_else(|e| {
-        eprintln!("cannot open cache dir {dir}: {e}");
-        std::process::exit(1);
-    });
-    match action {
+/// `jellytool cache ACTION` works on the cache `--cache-dir` installed.
+fn cache_cmd(flags: &Flags) -> Result<(), String> {
+    let Some(dir) = flags.get("cache-dir") else { flags.fail("cache requires --cache-dir DIR") };
+    let cache = jellyfish_routing::cache::global_cache().expect("--cache-dir installs the cache");
+    match flags.operand.as_str() {
         "warm" => {
-            let (_, net, seed) = network(flags);
-            let k: usize = num(flags, "k").unwrap_or(8);
-            let sel_name = flags.get("selection").map(String::as_str).unwrap_or("redksp");
+            let (_, net, seed) = network(flags)?;
+            let k: usize = flags.num_or("k", 8);
+            let sel_name = flags.get("selection").unwrap_or("redksp");
             let sels = if sel_name == "all" {
-                vec![
-                    PathSelection::Ksp(k),
-                    PathSelection::RKsp(k),
-                    PathSelection::EdKsp(k),
-                    PathSelection::REdKsp(k),
-                ]
+                schemes(k).to_vec()
             } else {
-                vec![selection(sel_name, k)]
+                vec![selection(flags, sel_name, k)]
             };
             for sel in sels {
                 let t0 = std::time::Instant::now();
@@ -556,74 +787,48 @@ fn cache_cmd(action: &str, flags: &HashMap<String, String>) {
             let removed = cache.clear().expect("clear cache dir");
             println!("removed {removed} file(s) from {dir}");
         }
-        other => {
-            eprintln!("unknown cache action {other:?} (use warm|stats|clear)");
-            usage()
-        }
+        other => unreachable!("cache action {other:?} is declared but has no arm"),
     }
-    dump_trace(flags);
+    Ok(())
 }
 
-fn faults(flags: &HashMap<String, String>) {
-    install_cache(flags);
-    enable_audit(flags);
-    install_threads_flag(flags);
-    enable_trace(flags);
-    let params = RrgParams::new(
-        required(flags, "switches"),
-        required(flags, "ports"),
-        required(flags, "net-ports"),
-    );
-    let seed: u64 = num(flags, "seed").unwrap_or(1);
-    let fault_seed: u64 = num(flags, "fault-seed").unwrap_or(2021);
-    let k: usize = num(flags, "k").unwrap_or(8);
-    let mech = mechanism(flags.get("mech").map(String::as_str).unwrap_or("adaptive"));
+fn faults(flags: &Flags) -> Result<(), String> {
+    let params = topo_params(flags);
+    let seed: u64 = flags.num_or("seed", 1);
+    let fault_seed: u64 = flags.num_or("fault-seed", 2021);
+    let k: usize = flags.num_or("k", 8);
+    let mech = mechanism(flags);
     let rates: Vec<f64> = match flags.get("rates") {
         None => faults_exp::default_rates(),
         Some(csv) => csv
             .split(',')
             .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad rate {s:?} in --rates");
-                    usage()
-                })
+                s.trim()
+                    .parse()
+                    .unwrap_or_else(|_| flags.fail(&format!("bad rate {s:?} in --rates")))
             })
             .collect(),
     };
-    let traffic = match flags.get("pattern").map(String::as_str).unwrap_or("perm") {
+    let traffic = match flags.get("pattern").unwrap_or("perm") {
         "perm" => faults_exp::FaultTraffic::Permutation,
         "uniform" => faults_exp::FaultTraffic::Uniform,
-        other => {
-            eprintln!("unknown pattern {other:?} (use perm|uniform)");
-            usage()
-        }
+        other => flags.fail(&format!("unknown pattern {other:?} (use perm|uniform)")),
     };
-    let scale = if flags.contains_key("paper") { Scale::Paper } else { Scale::Quick };
-    let fig = faults_exp::fault_sweep(params, k, mech, traffic, &rates, scale, seed, fault_seed);
+    let fig =
+        faults_exp::fault_sweep(params, k, mech, traffic, &rates, scale(flags), seed, fault_seed);
     faults_exp::print_fault_figure(&fig);
-    let json = faults_exp::to_json(&fig);
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write JSON file");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-    dump_metrics(flags);
-    dump_trace(flags);
+    emit(flags, &faults_exp::to_json(&fig));
+    Ok(())
 }
 
-fn table(flags: &HashMap<String, String>) {
-    install_cache(flags);
-    enable_trace(flags);
-    let (_, net, seed) = network(flags);
-    let k: usize = num(flags, "k").unwrap_or(8);
-    let sel_name = flags.get("selection").map(String::as_str).unwrap_or_else(|| usage());
-    let out = flags.get("out").unwrap_or_else(|| usage());
-    let sel = selection(sel_name, k);
+fn table(flags: &Flags) -> Result<(), String> {
+    let (_, net, seed) = network(flags)?;
+    let k: usize = flags.num_or("k", 8);
+    let sel = selection(flags, &flags.required::<String>("selection"), k);
+    let out: String = flags.required("out");
     let t0 = std::time::Instant::now();
     let table = net.paths(sel, &PairSet::AllPairs, seed);
-    save_table(&table, std::path::Path::new(out)).expect("write table");
+    save_table(&table, std::path::Path::new(&out)).expect("write table");
     println!(
         "computed {} ({} pairs, max {} hops) in {:.1?}; saved to {out}",
         sel.name(),
@@ -631,7 +836,7 @@ fn table(flags: &HashMap<String, String>) {
         table.max_hops(),
         t0.elapsed()
     );
-    dump_trace(flags);
+    Ok(())
 }
 
 /// Grows an RRG by `--add` switches with bounded recabling, extends the
@@ -640,22 +845,16 @@ fn table(flags: &HashMap<String, String>) {
 /// rebuild. The JSON written to `--out` (or stdout) is byte-deterministic
 /// for fixed flags — wall-clock timings go to stderr only — so CI can
 /// diff two runs to pin replay determinism.
-fn expand(flags: &HashMap<String, String>) {
+fn expand(flags: &Flags) -> Result<(), String> {
     use jellyfish::topology::{expand_rrg, write_recable_plan};
-    enable_trace(flags);
-    let (params, net, seed) = network(flags);
-    let added: usize = required(flags, "add");
-    let expand_seed: u64 = num(flags, "expand-seed").unwrap_or(2021);
-    let k: usize = num(flags, "k").unwrap_or(4);
-    let sel = selection(flags.get("selection").map(String::as_str).unwrap_or("edksp"), k);
+    let (params, net, seed) = network(flags)?;
+    let added: usize = flags.required("add");
+    let expand_seed: u64 = flags.num_or("expand-seed", 2021);
+    let k: usize = flags.num_or("k", 4);
+    let sel = selection(flags, flags.get("selection").unwrap_or("edksp"), k);
 
-    let (grown, grown_params, plan) = match expand_rrg(net.graph(), params, added, expand_seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot expand RRG: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (grown, grown_params, plan) = expand_rrg(net.graph(), params, added, expand_seed)
+        .map_err(|e| format!("cannot expand RRG: {e}"))?;
     if let Some(path) = flags.get("plan") {
         let file = std::fs::File::create(path).expect("create recable plan file");
         write_recable_plan(&plan, std::io::BufWriter::new(file)).expect("write recable plan");
@@ -776,15 +975,8 @@ fn expand(flags: &HashMap<String, String>) {
     )
     .unwrap();
     out.push_str("}\n");
-
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &out).expect("write JSON file");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{out}"),
-    }
-    dump_trace(flags);
+    emit(flags, &out);
+    Ok(())
 }
 
 /// One JSON number token (`null` for NaN/Inf — JSON has no such
@@ -797,32 +989,26 @@ fn json_num(v: f64) -> String {
     }
 }
 
-fn stats(flags: &HashMap<String, String>) {
-    install_cache(flags);
-    enable_audit(flags);
-    install_threads_flag(flags);
-    enable_trace(flags);
-    let (params, net, seed) = network(flags);
-    let k: usize = num(flags, "k").unwrap_or(8);
-    let sel = selection(flags.get("selection").map(String::as_str).unwrap_or("redksp"), k);
-    let mech = mechanism(flags.get("mech").map(String::as_str).unwrap_or("adaptive"));
-    let rate: f64 = num(flags, "rate").unwrap_or(0.3);
-    let scale = if flags.contains_key("paper") { Scale::Paper } else { Scale::Quick };
-    let stride: u32 = num(flags, "stride").unwrap_or(64);
+fn stats(flags: &Flags) -> Result<(), String> {
+    let (params, net, seed) = network(flags)?;
+    let k: usize = flags.num_or("k", 8);
+    let sel = selection(flags, flags.get("selection").unwrap_or("redksp"), k);
+    let mech = mechanism(flags);
+    let rate: f64 = flags.num_or("rate", 0.3);
+    let stride: u32 = flags.num_or("stride", 64);
     // Validate here, not deep inside the simulator's observer, so a bad
     // value is a usage error rather than a panic.
     if stride == 0 {
-        eprintln!("error: --stride must be >= 1 (sampling every stride-th cycle)");
-        usage()
+        flags.fail("--stride must be >= 1 (sampling every stride-th cycle)");
     }
     #[cfg(not(feature = "obs"))]
-    if flags.contains_key("stride") {
+    if flags.on("stride") {
         eprintln!("note: --stride has no effect without --features obs");
     }
 
     // Traffic: one uniform or one seeded permutation instance; the
     // table is pair-restricted for permutations, as in the figures.
-    let (pairs, pattern) = match flags.get("pattern").map(String::as_str).unwrap_or("uniform") {
+    let (pairs, pattern) = match flags.get("pattern").unwrap_or("uniform") {
         "uniform" => {
             (PairSet::AllPairs, PacketDestinations::Uniform { num_hosts: params.num_hosts() })
         }
@@ -834,17 +1020,12 @@ fn stats(flags: &HashMap<String, String>) {
                 PacketDestinations::from_flows(params.num_hosts(), &flows),
             )
         }
-        other => {
-            eprintln!("unknown pattern {other:?} (use perm|uniform)");
-            usage()
-        }
+        other => flags.fail(&format!("unknown pattern {other:?} (use perm|uniform)")),
     };
     let table = net.paths(sel, &pairs, seed);
-    let sp_table = if mech.needs_sp_table() {
-        Some(PathTable::all_pairs_shortest(net.graph(), true, seed ^ 0x11))
-    } else {
-        None
-    };
+    let sp_table = mech
+        .needs_sp_table()
+        .then(|| PathTable::all_pairs_shortest(net.graph(), true, seed ^ 0x11));
 
     // Same seed, same run: results are byte-identical at any shard
     // count, so --threads only changes how many workers execute it.
@@ -857,7 +1038,7 @@ fn stats(flags: &HashMap<String, String>) {
         mech,
         pattern,
         rate,
-        scale.sim_config(),
+        scale(flags).sim_config(),
     )
     .with_threads(jellyfish_flitsim::resolve_threads(None));
     #[cfg(feature = "obs")]
@@ -911,22 +1092,18 @@ fn stats(flags: &HashMap<String, String>) {
     #[cfg(not(feature = "obs"))]
     writeln!(out, "  \"max_link_utilization\": {}", json_num(result.max_link_utilization)).unwrap();
     out.push_str("}\n");
-
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &out).expect("write JSON file");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{out}"),
-    }
-    dump_metrics(flags);
-    dump_trace(flags);
+    emit(flags, &out);
+    Ok(())
 }
 
 /// Built-in scenario plans, seeded from the topology seed so a fixed
 /// command line is fully deterministic. Phase starts fit the Quick
 /// schedule (500-cycle warmup + 5×500-cycle windows).
-fn builtin_plan(name: &str, num_hosts: usize, seed: u64) -> jellyfish_traffic::ScenarioPlan {
+fn builtin_plan(
+    name: &str,
+    num_hosts: usize,
+    seed: u64,
+) -> Option<jellyfish_traffic::ScenarioPlan> {
     use jellyfish_traffic::{FlowSize, HotspotKind, Matrix, ScenarioPlan};
     let hot = (num_hosts / 8).clamp(1, 8) as u32;
     let mut plan = ScenarioPlan::new(seed);
@@ -951,106 +1128,60 @@ fn builtin_plan(name: &str, num_hosts: usize, seed: u64) -> jellyfish_traffic::S
                 Matrix::Hotspot { hot, fraction: 0.5, kind: HotspotKind::Incast, seed },
             );
         }
-        other => {
-            eprintln!("unknown scenario {other:?} (use steady|flows|hotspot|shift)");
-            usage()
-        }
+        _ => return None,
     }
-    plan
-}
-
-/// One scenario run: serial or sharded-parallel engine (byte-identical
-/// for the same seed), returning the run result and the flow ledger.
-fn scenario_run(
-    net: &JellyfishNetwork,
-    table: &PathTable,
-    sp_table: Option<&PathTable>,
-    mech: Mechanism,
-    plan: &jellyfish_traffic::ScenarioPlan,
-    cfg: jellyfish_flitsim::SimConfig,
-    threads: usize,
-) -> (jellyfish_flitsim::RunResult, jellyfish_flitsim::FlowStats) {
-    let params = *net.params();
-    let pattern = PacketDestinations::Uniform { num_hosts: params.num_hosts() };
-    let span = jellyfish_obs::span("jellytool.scenario.run");
-    let mut sim = jellyfish_flitsim::Simulator::new(
-        net.graph(),
-        params,
-        table,
-        sp_table,
-        mech,
-        pattern,
-        0.0,
-        cfg,
-    )
-    .with_threads(threads)
-    .with_scenario(plan);
-    let result = sim.run();
-    span.finish();
-    (result, sim.flow_stats().expect("scenario attached"))
+    Some(plan)
 }
 
 /// Sweeps a dynamic traffic scenario across the four path-selection
 /// schemes (KSP-adaptive routing) plus UGAL, over a multiplicative load
 /// grid (`plan.scaled(factor)`), and emits flow counts and FCT
 /// percentiles per scheme as deterministic JSON.
-fn scenario_cmd(flags: &HashMap<String, String>) {
+fn scenario_cmd(flags: &Flags) -> Result<(), String> {
     use jellyfish_traffic::scenario::{read_plan, write_plan};
-
-    install_cache(flags);
-    enable_audit(flags);
-    install_threads_flag(flags);
-    enable_trace(flags);
 
     // Validate the load grid at flag-parse time, like --stride: a
     // descending or zero-step grid is a usage error, not a silently
     // empty sweep.
-    let rate_min: f64 = num(flags, "rate-min").unwrap_or(0.5);
-    let rate_max: f64 = num(flags, "rate-max").unwrap_or(1.0);
-    let rate_step: f64 = num(flags, "rate-step").unwrap_or(0.25);
+    let rate_min: f64 = flags.num_or("rate-min", 0.5);
+    let rate_max: f64 = flags.num_or("rate-max", 1.0);
+    let rate_step: f64 = flags.num_or("rate-step", 0.25);
     if !rate_step.is_finite() || rate_step <= 0.0 {
-        eprintln!("error: --rate-step must be > 0");
-        usage()
+        flags.fail("--rate-step must be > 0");
     }
     if !rate_min.is_finite() || !rate_max.is_finite() || rate_min <= 0.0 {
-        eprintln!("error: --rate-min and --rate-max must be finite and > 0");
-        usage()
+        flags.fail("--rate-min and --rate-max must be finite and > 0");
     }
     if rate_max < rate_min {
-        eprintln!(
-            "error: --rate-max ({rate_max}) < --rate-min ({rate_min}) — the load grid would be \
-             empty"
-        );
-        usage()
+        flags.fail(&format!(
+            "--rate-max ({rate_max}) < --rate-min ({rate_min}) — the load grid would be empty"
+        ));
     }
     let steps = ((rate_max - rate_min) / rate_step + 1e-9).floor() as usize;
     let factors: Vec<f64> =
         (0..=steps).map(|i| ((rate_min + i as f64 * rate_step) * 1e6).round() / 1e6).collect();
 
-    let (params, net, seed) = network(flags);
-    let k: usize = num(flags, "k").unwrap_or(8);
-    let scale = if flags.contains_key("paper") { Scale::Paper } else { Scale::Quick };
+    let (params, net, seed) = network(flags)?;
+    let k: usize = flags.num_or("k", 8);
     let threads = jellyfish_flitsim::resolve_threads(None);
 
-    if flags.contains_key("plan") && flags.contains_key("scenario") {
-        eprintln!("error: --plan and --scenario are mutually exclusive");
-        usage()
+    if flags.on("plan") && flags.on("scenario") {
+        flags.fail("--plan and --scenario are mutually exclusive");
     }
     let (scenario_name, plan) = match flags.get("plan") {
         Some(path) => {
-            let file = std::fs::File::open(path).unwrap_or_else(|e| {
-                eprintln!("cannot open plan {path}: {e}");
-                std::process::exit(1);
-            });
-            let plan = read_plan(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-                eprintln!("cannot parse plan {path}: {e}");
-                std::process::exit(1);
-            });
+            let file =
+                std::fs::File::open(path).map_err(|e| format!("cannot open plan {path}: {e}"))?;
+            let plan = read_plan(std::io::BufReader::new(file))
+                .map_err(|e| format!("cannot parse plan {path}: {e}"))?;
             (format!("file:{path}"), plan)
         }
         None => {
-            let name = flags.get("scenario").map(String::as_str).unwrap_or("shift");
-            (name.to_string(), builtin_plan(name, params.num_hosts(), seed))
+            let name = flags.get("scenario").unwrap_or("shift");
+            let plan = builtin_plan(name, params.num_hosts(), seed).unwrap_or_else(|| {
+                flags.fail(&format!("unknown scenario {name:?} (use steady|flows|hotspot|shift)"))
+            });
+            (name.to_string(), plan)
         }
     };
     if let Some(path) = flags.get("plan-out") {
@@ -1067,11 +1198,10 @@ fn scenario_cmd(flags: &HashMap<String, String>) {
         ("redksp", PathSelection::REdKsp(k), Mechanism::KspAdaptive),
         ("ugal", PathSelection::REdKsp(k), Mechanism::VanillaUgal),
     ];
-    let sp_table = if schemes.iter().any(|(_, _, m)| m.needs_sp_table()) {
-        Some(PathTable::all_pairs_shortest(net.graph(), true, seed ^ 0x11))
-    } else {
-        None
-    };
+    let sp_table = schemes
+        .iter()
+        .any(|(_, _, m)| m.needs_sp_table())
+        .then(|| PathTable::all_pairs_shortest(net.graph(), true, seed ^ 0x11));
 
     let mut out = String::from("{\n");
     writeln!(
@@ -1089,16 +1219,24 @@ fn scenario_cmd(flags: &HashMap<String, String>) {
         let table = net.paths(*sel, &PairSet::AllPairs, seed);
         writeln!(out, "    \"{name}\": [").unwrap();
         for (fi, factor) in factors.iter().enumerate() {
+            // Same seed, same run: byte-identical at any shard count.
             let scaled = plan.scaled(*factor);
-            let (r, flows) = scenario_run(
-                &net,
+            let span = jellyfish_obs::span("jellytool.scenario.run");
+            let mut sim = jellyfish_flitsim::Simulator::new(
+                net.graph(),
+                params,
                 &table,
                 sp_table.as_ref(),
                 *mech,
-                &scaled,
-                scale.sim_config(),
-                threads,
-            );
+                PacketDestinations::Uniform { num_hosts: params.num_hosts() },
+                0.0,
+                scale(flags).sim_config(),
+            )
+            .with_threads(threads)
+            .with_scenario(&scaled);
+            let r = sim.run();
+            span.finish();
+            let flows = sim.flow_stats().expect("scenario attached");
             let (p50, _p90, p99, _p999) = flows.fct_hist.percentiles();
             writeln!(
                 out,
@@ -1122,43 +1260,29 @@ fn scenario_cmd(flags: &HashMap<String, String>) {
         writeln!(out, "    ]{}", if si + 1 == schemes.len() { "" } else { "," }).unwrap();
     }
     out.push_str("  }\n}\n");
-
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &out).expect("write JSON file");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{out}"),
-    }
-    dump_metrics(flags);
-    dump_trace(flags);
+    emit(flags, &out);
+    Ok(())
 }
 
-fn bench_cmd(flags: &HashMap<String, String>) {
+fn bench_cmd(flags: &Flags) -> Result<(), String> {
     use jellyfish_bench::experiments::bench as bench_exp;
 
-    install_threads_flag(flags);
-    enable_trace(flags);
-    if flags.contains_key("quick") && flags.contains_key("full") {
-        eprintln!("error: --quick and --full are mutually exclusive");
-        usage()
+    if flags.on("quick") && flags.on("full") {
+        flags.fail("--quick and --full are mutually exclusive");
     }
-    let tier =
-        if flags.contains_key("full") { bench_exp::Tier::Full } else { bench_exp::Tier::Quick };
-    let runs: usize = num(flags, "runs").unwrap_or(5);
+    let tier = if flags.on("full") { bench_exp::Tier::Full } else { bench_exp::Tier::Quick };
+    let runs: usize = flags.num_or("runs", 5);
     if runs == 0 {
-        eprintln!("error: --runs must be >= 1");
-        usage()
+        flags.fail("--runs must be >= 1");
     }
-    let tolerance: f64 = num(flags, "tolerance").unwrap_or(25.0);
+    let tolerance: f64 = flags.num_or("tolerance", 25.0);
     if tolerance.is_nan() || tolerance < 0.0 {
-        eprintln!("error: --tolerance must be a percentage >= 0");
-        usage()
+        flags.fail("--tolerance must be a percentage >= 0");
     }
-    let out_dir = std::path::PathBuf::from(flags.get("out-dir").map(String::as_str).unwrap_or("."));
+    let out_dir = std::path::PathBuf::from(flags.get("out-dir").unwrap_or("."));
     std::fs::create_dir_all(&out_dir).expect("create --out-dir");
 
-    let results = bench_exp::run_suite(tier, runs, flags.get("filter").map(String::as_str));
+    let results = bench_exp::run_suite(tier, runs, flags.get("filter"));
     if results.is_empty() {
         eprintln!("error: no workload matches --filter {:?}", flags.get("filter").unwrap());
         std::process::exit(2);
@@ -1198,76 +1322,45 @@ fn bench_cmd(flags: &HashMap<String, String>) {
             }
         }
     }
-    dump_trace(flags);
     if failed {
-        eprintln!("bench: performance regression detected");
-        std::process::exit(1);
+        return Err("bench: performance regression detected".into());
     }
+    Ok(())
 }
 
-/// Installs the global path-table cache for the daemon commands.
-/// Unlike [`install_cache`], the disk store is bounded by default
-/// (64 files / 1 GiB, overridable with `--cache-max-files` /
-/// `--cache-max-mb`): a long-running service under fault and expansion
-/// churn must not leak disk without bound.
-fn install_serve_cache(flags: &HashMap<String, String>) {
-    if let Some(dir) = flags.get("cache-dir") {
-        let max_files: usize = num(flags, "cache-max-files").unwrap_or(64);
-        let max_mb: u64 = num(flags, "cache-max-mb").unwrap_or(1024);
-        match PathCache::new(dir) {
-            Ok(cache) => jellyfish_routing::cache::install_global(
-                cache.with_disk_budget(DiskBudget::bounded(max_files, max_mb << 20)),
-            ),
-            Err(e) => {
-                eprintln!("cannot open cache dir {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+/// The daemon state `serve` and `soak` share. One journal serves both
+/// roles: the daemon's `/events` stream and the process-global sink
+/// library layers publish into. Installing it BEFORE the table is built
+/// means startup-time cache/topology events land in the stream too, and
+/// a soak exercises the exact event-publishing path of the daemon.
+fn serve_state(flags: &Flags) -> Result<ServeState, String> {
+    let sel = selection(flags, flags.get("selection").unwrap_or("redksp"), flags.num_or("k", 8));
+    let journal = Arc::new(jellyfish_obs::journal::Journal::new());
+    jellyfish_obs::journal::install_global(Arc::clone(&journal));
+    ServeState::with_journal(topo_params(flags), flags.num_or("seed", 1), sel, journal)
+        .map_err(|e| format!("cannot build network: {e}"))
 }
 
-fn serve_cmd(flags: &HashMap<String, String>) {
-    install_serve_cache(flags);
-    let params = RrgParams::new(
-        required(flags, "switches"),
-        required(flags, "ports"),
-        required(flags, "net-ports"),
-    );
-    let seed: u64 = num(flags, "seed").unwrap_or(1);
-    let k: usize = num(flags, "k").unwrap_or(8);
-    let sel = selection(flags.get("selection").map(String::as_str).unwrap_or("redksp"), k);
-    let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7380");
-
-    // One journal serves both roles: the daemon's `/events` stream and
-    // the process-global sink library layers publish into. Installing
-    // BEFORE the table is built means startup-time cache/topology
-    // events land in the stream too.
-    let journal = std::sync::Arc::new(jellyfish_obs::journal::Journal::new());
-    jellyfish_obs::journal::install_global(std::sync::Arc::clone(&journal));
-    let state = jellyfish_bench::serve::ServeState::with_journal(params, seed, sel, journal)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build network: {e}");
-            std::process::exit(1);
-        });
-    let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
-        eprintln!("cannot bind {addr}: {e}");
-        std::process::exit(1);
-    });
+fn serve_cmd(flags: &Flags) -> Result<(), String> {
+    let addr = flags.get("addr").unwrap_or("127.0.0.1:7380");
+    let state = serve_state(flags)?;
+    let params = topo_params(flags);
+    let listener =
+        std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     // Stderr (stdout stays clean) and includes the resolved port so
     // `--addr 127.0.0.1:0` callers learn where to connect.
     eprintln!(
-        "serving RRG({}, {}, {}) seed {seed} {} on http://{}",
+        "serving RRG({}, {}, {}) seed {} {} on http://{}",
         params.switches,
         params.ports,
         params.network_ports,
-        sel.name(),
+        flags.num_or::<u64>("seed", 1),
+        state.selection().name(),
         listener.local_addr().expect("listener has a local addr"),
     );
-    if let Err(e) = jellyfish_bench::serve::run(std::sync::Arc::new(state), listener) {
-        eprintln!("serve: {e}");
-        std::process::exit(1);
-    }
+    jellyfish_bench::serve::run(Arc::new(state), listener).map_err(|e| format!("serve: {e}"))?;
     eprintln!("serve: clean shutdown");
+    Ok(())
 }
 
 /// One plain HTTP/1.1 GET against `addr`, returning the response body.
@@ -1292,24 +1385,22 @@ fn http_get_body(addr: &str, target: &str) -> Result<String, String> {
 
 /// `jellytool tail` — poll (or stream) a running daemon's `/events`
 /// journal and print it as `jellyfish-events v1` text.
-fn tail_cmd(flags: &HashMap<String, String>) {
+fn tail_cmd(flags: &Flags) -> Result<(), String> {
     use jellyfish_obs::journal::{read_events, render_event, write_events, Event, EVENTS_HEADER};
 
-    let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7380");
-    let mut cursor: u64 = num(flags, "since").unwrap_or(0);
-    let wait_ms: u64 = num(flags, "wait-ms").unwrap_or(2_000);
-    let count: u64 = num(flags, "count").unwrap_or(u64::MAX);
-    let until_idle = flags.contains_key("until-idle");
-    if flags.contains_key("follow") {
-        if until_idle || flags.contains_key("count") || flags.contains_key("out") {
-            eprintln!("tail: --follow relays the server's stream verbatim and cannot combine with --until-idle, --count or --out");
-            std::process::exit(2);
+    let addr = flags.get("addr").unwrap_or("127.0.0.1:7380");
+    let mut cursor: u64 = flags.num_or("since", 0);
+    let wait_ms: u64 = flags.num_or("wait-ms", 2_000);
+    let count: u64 = flags.num_or("count", u64::MAX);
+    let until_idle = flags.on("until-idle");
+    if flags.on("follow") {
+        if until_idle || flags.on("count") || flags.on("out") {
+            flags.fail(
+                "--follow relays the server's stream verbatim and cannot combine with \
+                 --until-idle, --count or --out",
+            );
         }
-        if let Err(e) = tail_follow(addr, cursor) {
-            eprintln!("tail: {e}");
-            std::process::exit(1);
-        }
-        return;
+        return tail_follow(addr, cursor).map_err(|e| format!("tail: {e}"));
     }
 
     let mut all: Vec<Event> = Vec::new();
@@ -1318,14 +1409,9 @@ fn tail_cmd(flags: &HashMap<String, String>) {
     let mut line = String::new();
     while (all.len() as u64) < count {
         let target = format!("/events?since={cursor}&wait_ms={wait_ms}");
-        let body = http_get_body(addr, &target).unwrap_or_else(|e| {
-            eprintln!("tail: {e}");
-            std::process::exit(1);
-        });
-        let (missed, events) = read_events(&body).unwrap_or_else(|e| {
-            eprintln!("tail: bad /events document: {e}");
-            std::process::exit(1);
-        });
+        let body = http_get_body(addr, &target).map_err(|e| format!("tail: {e}"))?;
+        let (missed, events) =
+            read_events(&body).map_err(|e| format!("tail: bad /events document: {e}"))?;
         missed_total += missed;
         if events.is_empty() {
             if until_idle {
@@ -1350,6 +1436,7 @@ fn tail_cmd(flags: &HashMap<String, String>) {
         std::fs::write(path, &text).expect("write events capture");
         eprintln!("wrote {path} ({} events, {missed_total} missed)", all.len());
     }
+    Ok(())
 }
 
 /// `tail --follow`: opens the daemon's chunked streaming mode and
@@ -1397,39 +1484,21 @@ fn tail_follow(addr: &str, since: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn soak_cmd(flags: &HashMap<String, String>) {
+fn soak_cmd(flags: &Flags) -> Result<(), String> {
     use jellyfish_bench::serve::soak::{run_soak, SoakConfig};
 
-    install_serve_cache(flags);
-    let params = RrgParams::new(
-        required(flags, "switches"),
-        required(flags, "ports"),
-        required(flags, "net-ports"),
-    );
-    let seed: u64 = num(flags, "seed").unwrap_or(1);
-    let k: usize = num(flags, "k").unwrap_or(8);
-    let sel = selection(flags.get("selection").map(String::as_str).unwrap_or("redksp"), k);
     let defaults = SoakConfig::default();
     let cfg = SoakConfig {
-        queries: num(flags, "queries").unwrap_or(defaults.queries),
-        threads: num(flags, "threads").unwrap_or(defaults.threads),
-        churn_cycles: num(flags, "churn").unwrap_or(defaults.churn_cycles),
-        fault_rate: num(flags, "fault-rate").unwrap_or(defaults.fault_rate),
-        rss_growth_budget: num::<u64>(flags, "rss-budget-mb")
+        queries: flags.num_or("queries", defaults.queries),
+        threads: flags.num_or("threads", defaults.threads),
+        churn_cycles: flags.num_or("churn", defaults.churn_cycles),
+        fault_rate: flags.num_or("fault-rate", defaults.fault_rate),
+        rss_growth_budget: flags
+            .num::<u64>("rss-budget-mb")
             .map(|mb| mb << 20)
             .unwrap_or(defaults.rss_growth_budget),
     };
-
-    // Same journal wiring as `serve`, so a soak exercises the exact
-    // event-publishing path the daemon runs in production.
-    let journal = std::sync::Arc::new(jellyfish_obs::journal::Journal::new());
-    jellyfish_obs::journal::install_global(std::sync::Arc::clone(&journal));
-    let state = jellyfish_bench::serve::ServeState::with_journal(params, seed, sel, journal)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build network: {e}");
-            std::process::exit(1);
-        });
-    let report = run_soak(&state, &cfg);
+    let report = run_soak(&serve_state(flags)?, &cfg);
     let (p50, p90, p99, p999) = report.percentiles_ns();
     let mut out = String::new();
     let _ = writeln!(
@@ -1450,90 +1519,97 @@ fn soak_cmd(flags: &HashMap<String, String>) {
         report.rss_growth_bytes(),
         report.rss_growth_budget,
     );
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &out).expect("write soak report");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{out}"),
-    }
-    dump_metrics(flags);
-    if let Err(e) = report.check() {
-        eprintln!("soak: FAILED: {e}");
-        std::process::exit(1);
-    }
+    emit(flags, &out);
+    report.check().map_err(|e| format!("soak: FAILED: {e}"))?;
     eprintln!(
         "soak: ok — {} queries, {} churn cycles, p99 {p99} ns, RSS growth {} B",
         report.queries,
         report.churn_cycles,
         report.rss_growth_bytes(),
     );
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::try_parse_flags;
+    use super::{Flags, COMMANDS};
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn parse(name: &str, list: &[&str]) -> Result<Flags, String> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        COMMANDS.iter().find(|c| c.name == name).expect("command in the table").parse(&args)
     }
 
-    const ALLOWED: [&str; 3] = ["switches", "seed", "out"];
-
-    #[test]
-    fn accepts_known_flags() {
-        let flags = try_parse_flags(&args(&["--switches", "12", "--out", "x.json"]), &ALLOWED, &[])
-            .unwrap();
-        assert_eq!(flags["switches"], "12");
-        assert_eq!(flags["out"], "x.json");
-    }
-
-    #[test]
-    fn rejects_unknown_flags() {
-        let err = try_parse_flags(&args(&["--bogus", "1"]), &ALLOWED, &[]).unwrap_err();
-        assert!(err.contains("unknown flag --bogus"), "{err}");
+    fn parse_err(name: &str, list: &[&str]) -> String {
+        match parse(name, list) {
+            Ok(_) => panic!("{name} {list:?} must be rejected"),
+            Err(e) => e,
+        }
     }
 
     #[test]
-    fn rejects_flag_as_value() {
-        // `--out --seed` must not silently consume `--seed` as the file
-        // name.
-        let err = try_parse_flags(&args(&["--out", "--seed"]), &ALLOWED, &[]).unwrap_err();
-        assert!(err.contains("--out needs a value"), "{err}");
-    }
-
-    #[test]
-    fn rejects_missing_value_and_duplicates() {
-        let err = try_parse_flags(&args(&["--seed"]), &ALLOWED, &[]).unwrap_err();
-        assert!(err.contains("--seed needs a value"), "{err}");
-        let err =
-            try_parse_flags(&args(&["--seed", "1", "--seed", "2"]), &ALLOWED, &[]).unwrap_err();
-        assert!(err.contains("duplicate flag --seed"), "{err}");
-    }
-
-    #[test]
-    fn rejects_bare_words() {
-        let err = try_parse_flags(&args(&["seed", "1"]), &ALLOWED, &[]).unwrap_err();
-        assert!(err.contains("expected a --flag"), "{err}");
-    }
-
-    #[test]
-    fn negative_like_values_are_fine() {
+    fn values_switches_and_operands_parse() {
+        let flags = parse("table", &["--switches", "12", "--out", "-"]).unwrap();
         // A single leading dash is a value, not a flag.
-        let flags = try_parse_flags(&args(&["--out", "-"]), &ALLOWED, &[]).unwrap();
-        assert_eq!(flags["out"], "-");
+        assert_eq!((flags.get("switches"), flags.get("out")), (Some("12"), Some("-")));
+        // `--quick` consumes nothing: the next token is a flag of its own.
+        let flags = parse("bench", &["--quick", "--runs", "3"]).unwrap();
+        assert!(flags.on("quick"));
+        assert_eq!(flags.get("runs"), Some("3"));
+        assert_eq!(parse("repro", &["table1", "--paper"]).unwrap().operand, "table1");
     }
 
     #[test]
-    fn bool_flags_take_no_value() {
-        // `--quick` consumes nothing: the next token is still parsed as
-        // a flag of its own.
-        let flags =
-            try_parse_flags(&args(&["--quick", "--seed", "3"]), &ALLOWED, &["quick"]).unwrap();
-        assert_eq!(flags["quick"], "true");
-        assert_eq!(flags["seed"], "3");
-        let err =
-            try_parse_flags(&args(&["--quick", "--quick"]), &ALLOWED, &["quick"]).unwrap_err();
-        assert!(err.contains("duplicate flag --quick"), "{err}");
+    fn malformed_command_lines_are_rejected() {
+        for (name, args, expect) in [
+            ("topo", &["--bogus", "1"][..], "unknown flag --bogus"),
+            // `--out --seed` must not consume `--seed` as the file name.
+            ("table", &["--out", "--seed"], "--out needs a value"),
+            ("topo", &["--seed"], "--seed needs a value"),
+            ("topo", &["--seed", "1", "--seed", "2"], "duplicate flag --seed"),
+            ("bench", &["--quick", "--quick"], "duplicate flag --quick"),
+            ("topo", &["seed", "1"], "expected a --flag"),
+            // A switch takes no value, so `--paper false` is a stray word.
+            ("stats", &["--paper", "false"], "expected a --flag, got \"false\""),
+            ("repro", &["table7"], "not a valid EXPERIMENT"),
+            ("repro", &["--paper"], "missing EXPERIMENT"),
+            ("cache", &["--cache-dir", "d"], "missing ACTION"),
+        ] {
+            let err = parse_err(name, args);
+            assert!(err.contains(expect), "{name} {args:?}: {err}");
+        }
+    }
+
+    /// The table is the one source of truth: each command's help lists
+    /// every flag it declares, declares no name twice, and its parser
+    /// accepts each of them and rejects every other flag, including those
+    /// of other commands.
+    #[test]
+    fn help_and_parser_follow_the_table_for_every_command() {
+        let all: Vec<&str> = COMMANDS.iter().flat_map(|c| c.flags().map(|f| f.name)).collect();
+        for c in COMMANDS {
+            let help = c.help();
+            let operand: Vec<&str> = c.operand.map(|(_, values)| values[0]).into_iter().collect();
+            let mut names: Vec<&str> = c.flags().map(|f| f.name).collect();
+            for f in c.flags() {
+                assert!(help.contains(&format!("  {} ", f.synopsis())), "{}: {help}", f.name);
+                let arg = format!("--{}", f.name);
+                let mut args = operand.clone();
+                args.push(&arg);
+                if f.meta.is_some() {
+                    args.push("1");
+                }
+                assert!(parse(c.name, &args).is_ok(), "{} {args:?}", c.name);
+            }
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), c.flags().count(), "{} declares a flag twice", c.name);
+            for other in all.iter().filter(|n| !names.contains(n)).chain(&["no-such-flag"]) {
+                let arg = format!("--{other}");
+                let mut args = operand.clone();
+                args.extend([arg.as_str(), "1"]);
+                let err = parse_err(c.name, &args);
+                assert!(err.contains(&format!("unknown flag --{other}")), "{}: {err}", c.name);
+            }
+        }
     }
 }

@@ -125,8 +125,8 @@ pub fn print_latency_figure(fig: &LatencyFigure) {
 mod tests {
     use super::*;
 
-    // Full figures run on RRG(720,24,19) and are exercised by the repro
-    // binary; here we validate the mechanics on a small instance.
+    // Full figures run on RRG(720,24,19) and are exercised by `jellytool
+    // repro`; here we validate the mechanics on a small instance.
     #[test]
     fn latency_curves_have_expected_shape() {
         let params = RrgParams::new(12, 6, 4);

@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 //! Reproduction harness for every table and figure of the paper.
 //!
-//! The `repro` binary (`cargo run --release -p jellyfish-bench --bin
-//! repro -- <experiment>`) regenerates the paper's evaluation artifacts;
+//! `jellytool repro <experiment>` (`cargo run --release -p jellyfish-bench
+//! --bin jellytool -- repro <experiment>`) regenerates the paper's evaluation artifacts;
 //! the Criterion benches under `benches/` measure the performance of the
 //! library itself (path computation and simulator throughput) plus the
 //! ablations called out in DESIGN.md.
@@ -10,7 +10,7 @@
 //! Experiments run at two scales:
 //!
 //! * [`Scale::Quick`] (default) — fewer random instances and sampled pair
-//!   sets so `repro all` finishes on a laptop in tens of minutes;
+//!   sets so `jellytool repro all` finishes on a laptop in tens of minutes;
 //! * [`Scale::Paper`] — the paper's full instance counts and pair
 //!   coverage.
 //!

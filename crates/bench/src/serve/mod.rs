@@ -717,8 +717,9 @@ pub fn run(state: Arc<ServeState>, listener: TcpListener) -> io::Result<()> {
 }
 
 /// Serves one connection until close, error, or shutdown. After
-/// answering `POST /shutdown` it pokes the accept loop awake with a
-/// throwaway local connection so [`run`] observes the stop flag.
+/// answering `POST /shutdown` (whether or not the answer could be
+/// written) it pokes the accept loop awake with a throwaway local
+/// connection so [`run`] observes the stop flag.
 fn handle_connection(state: &ServeState, stream: TcpStream, addr: std::net::SocketAddr) {
     let mut reader = BufReader::new(&stream);
     let mut writer = &stream;
@@ -741,15 +742,16 @@ fn handle_connection(state: &ServeState, stream: TcpStream, addr: std::net::Sock
             break;
         }
         let keep = request.keep_alive && !resp.shutdown;
-        if http::write_response(&mut writer, resp.status, resp.content_type, &out, keep).is_err() {
-            break;
-        }
+        let written = http::write_response(&mut writer, resp.status, resp.content_type, &out, keep);
         if resp.shutdown {
-            // Wake the accept loop so it can re-check the stop flag.
+            // Wake the accept loop so it can re-check the stop flag. This
+            // must not depend on the write: a client that hangs up before
+            // reading the answer makes it fail, and without the wake-up
+            // the accept loop would block forever.
             let _ = TcpStream::connect(addr);
             break;
         }
-        if !keep {
+        if written.is_err() || !keep {
             break;
         }
     }

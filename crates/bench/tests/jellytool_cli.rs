@@ -1,8 +1,10 @@
 //! End-to-end CLI contracts for `jellytool`: the `--stride 0` usage
 //! error (regression test for the old divide-by-zero panic), the
 //! `scenario` load-grid validation (a descending or zero-step grid is
-//! a usage error, not a silent empty sweep), and the `bench`
-//! regression gate's exit codes against doctored baselines.
+//! a usage error, not a silent empty sweep), flag values that do not
+//! parse and stray words after switches (usage errors, never a silent
+//! default), the generated help, and the `bench` regression gate's exit
+//! codes against doctored baselines.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -58,6 +60,66 @@ fn scenario_descending_or_degenerate_load_grid_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "usage error for {extra:?}; stderr: {stderr}");
         assert!(stderr.contains(expect), "actionable message for {extra:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+    }
+}
+
+/// A value that does not parse is a usage error naming the flag, not a
+/// silent fall-back to the default (`--seed abc` used to build seed 1).
+#[test]
+fn unparsable_flag_values_are_usage_errors() {
+    let out_dir = temp_dir("bad-values");
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let topo = ["--switches", "10", "--ports", "6", "--net-ports", "4"];
+    let dir = out_dir.to_str().unwrap();
+    let bench = ["--quick", "--runs", "1", "--filter", "topo_build", "--out-dir", dir];
+    for (args, flag) in [
+        ([&["topo"][..], &topo, &["--seed", "abc"]].concat(), "--seed"),
+        ([&["paths"][..], &topo, &["--src", "0", "--dst", "3", "--k", "banana"]].concat(), "--k"),
+        (
+            [&["bench"][..], &bench, &["--baseline", root, "--tolerance", "abc"]].concat(),
+            "--tolerance",
+        ),
+    ] {
+        let out = jellytool(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "usage error for {args:?}; stderr: {stderr}");
+        assert!(stderr.contains(flag), "names {flag}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// `--paper` and `--audit` are switches: a following `false` is a stray
+/// word and a usage error, not a way to turn the feature off (it used
+/// to turn it on).
+#[test]
+fn paper_and_audit_take_no_value() {
+    let topo = ["--switches", "10", "--ports", "6", "--net-ports", "4"];
+    for switch in ["--paper", "--audit"] {
+        let args: Vec<&str> =
+            std::iter::once("stats").chain(topo).chain([switch, "false"]).collect();
+        let out = jellytool(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}; stderr: {stderr}");
+        assert!(stderr.contains("got \"false\""), "{stderr}");
+    }
+}
+
+/// `help` and `<command> --help` exit 0 on stdout; an unknown or missing
+/// `repro` experiment exits 2.
+#[test]
+fn help_exits_zero_and_unknown_experiments_exit_two() {
+    let out = jellytool(&["help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("jellytool repro EXPERIMENT"), "{stdout}");
+    let out = jellytool(&["repro", "--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("--paper") && stdout.contains("ablation-flits"), "{stdout}");
+    for args in [&["repro", "table7"][..], &["repro"], &["repro", "--paper"]] {
+        let out = jellytool(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: jellytool repro"));
     }
 }
 

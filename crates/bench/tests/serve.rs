@@ -365,3 +365,31 @@ fn tcp_server_keepalive_malformed_and_clean_shutdown() {
     server.join().expect("server thread").expect("clean shutdown");
     assert!(st.stopping());
 }
+
+/// A client that sends `POST /shutdown` and hangs up without reading
+/// the answer makes the response write fail. The daemon must still wake
+/// its accept loop and return, not block in `accept` forever.
+#[test]
+fn tcp_shutdown_from_a_client_that_hangs_up_still_stops_the_server() {
+    for _ in 0..5 {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().unwrap();
+        let st = Arc::new(state());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        {
+            let st = Arc::clone(&st);
+            std::thread::spawn(move || {
+                let _ = done_tx.send(serve::run(st, listener).is_ok());
+            });
+        }
+        {
+            let stream = TcpStream::connect(addr).expect("connect");
+            (&stream)
+                .write_all(b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+                .expect("write shutdown");
+        }
+        let returned = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(returned, Ok(true), "serve::run must return after POST /shutdown");
+        assert!(st.stopping());
+    }
+}

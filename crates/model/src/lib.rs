@@ -22,10 +22,6 @@
 //! they are modeled as a single sub-flow over the injection/ejection
 //! links only.
 
-pub mod maxmin;
-
-pub use maxmin::max_min_throughput;
-
 use jellyfish_routing::PathTable;
 use jellyfish_topology::{Graph, RrgParams};
 use jellyfish_traffic::Flow;

@@ -3,9 +3,10 @@
 # (table1/properties/fig7/fig8 are cheap to re-run individually; include
 # them with `all` if you want one log.)
 set -u
-BIN=${BIN:-target/release/repro}
+# BIN is a command prefix: word splitting of $BIN is intended.
+BIN=${BIN:-target/release/jellytool repro}
 for e in "$@"; do
   echo "=== $e ==="
-  "$BIN" "$e"
+  $BIN "$e"
   echo
 done
