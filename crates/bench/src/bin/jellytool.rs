@@ -531,6 +531,7 @@ impl Flags {
 }
 
 fn main() {
+    exit_quietly_on_broken_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, rest)) = args.split_first() else { fail(None, "missing command") };
     if name == "help" || name == "--help" {
@@ -551,6 +552,28 @@ fn main() {
     if let Err(e) = result {
         eprintln!("{e}");
         std::process::exit(1);
+    }
+}
+
+/// A reader that closes stdout early (`jellytool help | head -3`) has
+/// taken all the output it wants, so the command ends there with exit
+/// status 0. `print!` reports the broken pipe by panicking; this hook
+/// turns exactly that panic into the quiet exit, and leaves every other
+/// panic to the default hook.
+fn exit_quietly_on_broken_stdout() {
+    #[cfg(unix)]
+    {
+        /// `EPIPE` on Linux, macOS and the BSDs.
+        const EPIPE: i32 = 32;
+        let broken =
+            format!("failed printing to stdout: {}", std::io::Error::from_raw_os_error(EPIPE));
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload_as_str() == Some(broken.as_str()) {
+                std::process::exit(0);
+            }
+            default(info);
+        }));
     }
 }
 
@@ -1478,8 +1501,10 @@ fn tail_follow(addr: &str, since: u64) -> Result<(), String> {
         let mut payload = vec![0u8; size + 2]; // chunk body + trailing CRLF
         reader.read_exact(&mut payload).map_err(|e| format!("read chunk: {e}"))?;
         payload.truncate(size);
-        stdout.write_all(&payload).map_err(|e| format!("stdout: {e}"))?;
-        stdout.flush().map_err(|e| format!("stdout: {e}"))?;
+        match stdout.write_all(&payload).and_then(|()| stdout.flush()) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => break, // the reader left
+            written => written.map_err(|e| format!("stdout: {e}"))?,
+        }
     }
     Ok(())
 }

@@ -3,8 +3,9 @@
 //! `scenario` load-grid validation (a descending or zero-step grid is
 //! a usage error, not a silent empty sweep), flag values that do not
 //! parse and stray words after switches (usage errors, never a silent
-//! default), the generated help, and the `bench` regression gate's exit
-//! codes against doctored baselines.
+//! default), the generated help, a quiet exit when stdout's reader has
+//! gone, and the `bench` regression gate's exit codes against doctored
+//! baselines.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -120,6 +121,26 @@ fn help_exits_zero_and_unknown_experiments_exit_two() {
         let out = jellytool(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: jellytool repro"));
+    }
+}
+
+/// A reader that has already gone (`jellytool help | head -0`) ends a
+/// command quietly: no "failed printing to stdout" panic (exit 101),
+/// no backtrace, nothing on stderr.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let topo = ["topo", "--switches", "36", "--ports", "24", "--net-ports", "16"];
+    for args in [&["help"][..], &["repro", "--help"], &topo] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader); // every write to stdout now fails with EPIPE
+        let out = Command::new(env!("CARGO_BIN_EXE_jellytool"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn jellytool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}; stderr: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}; stderr: {stderr}");
     }
 }
 

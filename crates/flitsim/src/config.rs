@@ -46,7 +46,12 @@ pub struct SimConfig {
     /// for `packet_flits` consecutive cycles and consume that many
     /// credits, transferring store-and-forward at packet granularity.
     pub packet_flits: u16,
-    /// Switch-allocation iterations per cycle (paper: router speedup 2.0).
+    /// Router speedup (paper: 2.0): how many grants one input port can
+    /// win per cycle, across its VCs and the local outputs they request.
+    /// Each output still grants at most once per cycle. The name is
+    /// historical: the allocator makes one pass over the outputs, since
+    /// further iterations could never grant (an output left ungranted
+    /// had only requesters already at this cap).
     pub alloc_iters: u8,
     /// Warmup cycles before measurement (paper: 500).
     pub warmup_cycles: u32,

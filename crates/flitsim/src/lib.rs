@@ -9,9 +9,9 @@
 //! * **single-flit packets** (a packet is one flit, per the paper's
 //!   settings — the focus is routing, not flow control);
 //! * channel latency of 10 cycles, 32-entry VC buffers;
-//! * router speedup 2.0, modeled as two switch-allocation iterations per
-//!   cycle (an input port may forward up to two packets per cycle; each
-//!   output channel still carries at most one);
+//! * router speedup 2.0, modeled as a per-input grant cap in a one-pass
+//!   switch allocator (an input port may forward up to two packets per
+//!   cycle; each output channel still carries at most one);
 //! * deadlock freedom by hop-indexed VCs: a packet entering its `h`-th
 //!   network channel uses VC `h`, so the VC count equals the longest path
 //!   in use (the paper sizes it by the network diameter; UGAL's

@@ -45,15 +45,58 @@ pub(crate) fn stream_seed(seed: u64, kind: u64, idx: u64) -> u64 {
 /// Index of a packet in the arena.
 pub(crate) type PacketId = u32;
 
+/// [`Arena`] next-link sentinel: the packet has no route yet (it waits
+/// in a source queue and is routed when it reaches the head).
+pub(crate) const UNROUTED: LinkId = LinkId::MAX;
+/// [`Arena`] next-link sentinel: the packet sits at the last switch of
+/// its route and leaves through its destination host's ejection port.
+pub(crate) const EJECT: LinkId = LinkId::MAX - 1;
+
+/// Exact `u32` division by a divisor fixed at construction, as one
+/// multiply and one shift: with `m = ceil(2^63 / d)`,
+/// `n / d == (n * m) >> 63` for every `n < 2^32` whenever
+/// `d <= 2^31` (Lemire, Kaser and Kurz, "Faster remainder by direct
+/// computation", 2019: exact when `m * d - 2^63 <= 2^(63 - 32)`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DivU32 {
+    d: u32,
+    m: u64,
+}
+
+impl DivU32 {
+    pub(crate) fn new(d: usize) -> Self {
+        assert!((1..=1 << 31).contains(&d), "divisor {d} outside 1..=2^31");
+        Self { d: d as u32, m: (1u64 << 63).div_ceil(d as u64) }
+    }
+
+    #[inline]
+    pub(crate) fn div(self, n: u32) -> u32 {
+        ((u128::from(n) * u128::from(self.m)) >> 63) as u32
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    pub(crate) fn div_rem(self, n: u32) -> (u32, u32) {
+        let q = self.div(n);
+        (q, n - q * self.d)
+    }
+}
+
 /// Packet store in struct-of-arrays layout with a free list.
 ///
-/// The per-cycle hot fields (`hop`, `dst_host`) pack densely instead of
-/// dragging each packet's cold `Vec` pointer triple through the cache
-/// on every head-of-queue inspection, and a cross-shard hand-off is a
-/// few scalar copies plus a route-buffer move, never a clone. `path`
-/// buffers are recycled through the free list.
+/// The per-cycle hot fields (`next_link`, `hop`, `dst_host`) pack
+/// densely instead of dragging each packet's cold `Vec` pointer triple
+/// through the cache on every head-of-queue inspection, and a
+/// cross-shard hand-off is a few scalar copies plus a route-buffer move,
+/// never a clone. `path` buffers are recycled through the free list.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Arena {
+    /// The link the packet leaves its current switch by: the route's
+    /// `path[hop] -> path[hop + 1]` edge, [`EJECT`] at the route's last
+    /// switch, [`UNROUTED`] before routing. Resolved once per hop (on
+    /// routing, a hop bump or a reroute) so a head packet that waits
+    /// for credit looks nothing up.
+    next_link: Vec<LinkId>,
     /// Network links traversed so far; also the VC for the next traversal.
     hop: Vec<u16>,
     dst_host: Vec<u32>,
@@ -79,6 +122,7 @@ impl Arena {
         if let Some(id) = self.free.pop() {
             let i = id as usize;
             self.path[i].clear();
+            self.next_link[i] = UNROUTED;
             self.hop[i] = 0;
             self.dst_host[i] = dst_host;
             self.gen_cycle[i] = gen_cycle;
@@ -88,6 +132,7 @@ impl Arena {
             self.flow_arrival[i] = 0;
             id
         } else {
+            self.next_link.push(UNROUTED);
             self.hop.push(0);
             self.dst_host.push(dst_host);
             self.gen_cycle.push(gen_cycle);
@@ -121,6 +166,7 @@ impl Arena {
     fn alloc_from_msg(&mut self, m: FlitMsg) -> PacketId {
         let id = self.alloc(m.dst_host, m.gen_cycle);
         let i = id as usize;
+        self.next_link[i] = m.next_link;
         self.hop[i] = m.hop;
         self.retries[i] = m.retries;
         self.flow[i] = m.flow;
@@ -138,6 +184,7 @@ impl Arena {
         let msg = FlitMsg {
             arrive,
             qi,
+            next_link: self.next_link[i],
             hop: self.hop[i],
             dst_host: self.dst_host[i],
             gen_cycle: self.gen_cycle[i],
@@ -152,13 +199,27 @@ impl Arena {
     }
 
     #[inline]
+    fn next_link(&self, id: PacketId) -> LinkId {
+        self.next_link[id as usize]
+    }
+
+    #[inline]
     fn hop(&self, id: PacketId) -> u16 {
         self.hop[id as usize]
     }
 
+    /// Re-resolves the packet's next link from its route and hop.
     #[inline]
-    fn bump_hop(&mut self, id: PacketId) {
+    fn resolve_next_link(&mut self, id: PacketId, graph: &Graph) {
+        let i = id as usize;
+        self.next_link[i] = route_link(graph, &self.path[i], self.hop[i] as usize);
+    }
+
+    /// Advances the packet one hop along its route.
+    #[inline]
+    fn bump_hop(&mut self, id: PacketId, graph: &Graph) {
         self.hop[id as usize] += 1;
+        self.resolve_next_link(id, graph);
     }
 
     #[inline]
@@ -227,6 +288,15 @@ impl Arena {
     }
 }
 
+/// The link a packet at `path[hop]` leaves by: the `path[hop] ->
+/// path[hop + 1]` edge, or [`EJECT`] at the route's last switch.
+fn route_link(graph: &Graph, path: &[NodeId], hop: usize) -> LinkId {
+    match path.get(hop + 1) {
+        Some(&next) => graph.link_id(path[hop], next).expect("route follows edges"),
+        None => EJECT,
+    }
+}
+
 /// A packet crossing a shard boundary: everything the receiving shard
 /// needs to re-materialize it in its own arena. The route buffer is
 /// moved out of the sender's arena, not cloned.
@@ -236,6 +306,8 @@ pub(crate) struct FlitMsg {
     pub(crate) arrive: u32,
     /// Destination `(link, vc)` queue index.
     pub(crate) qi: u32,
+    /// The packet's next link at the receiving switch (see [`Arena`]).
+    pub(crate) next_link: LinkId,
     pub(crate) hop: u16,
     pub(crate) dst_host: u32,
     pub(crate) gen_cycle: u32,
@@ -360,6 +432,10 @@ pub(crate) struct Shard<'a> {
     pub(crate) cfg: SimConfig,
     pub(crate) rate: f64,
     pub(crate) num_vcs: usize,
+    /// Divides a `(link, vc)` queue index by `num_vcs`.
+    vc_div: DivU32,
+    /// Divides a host index by the hosts per switch.
+    host_div: DivU32,
 
     /// Per-host injection/pattern randomness. Streams are per entity so
     /// the consumed sequence depends only on simulated state, never on
@@ -387,6 +463,13 @@ pub(crate) struct Shard<'a> {
     pub(crate) chan: Vec<Vec<(PacketId, u32)>>,
     /// Credit-return delay line (same slotting).
     pub(crate) cred: Vec<Vec<u32>>,
+    /// The `chan` and `cred` slots this cycle's grants file into, set by
+    /// `deliver_due` at the top of the cycle. A packet sent now lands its
+    /// tail `chan.len()` cycles out (channel latency plus serialization),
+    /// in the slot `deliver_due` just drained; a credit freed now returns
+    /// `channel_latency` cycles out.
+    chan_slot: usize,
+    cred_slot: usize,
     /// Round-robin pointers per output (network link or ejection port).
     rr: Vec<u16>,
     /// First cycle each output is free again (multi-flit packets occupy
@@ -468,10 +551,89 @@ pub(crate) struct Shard<'a> {
     // scratch (reused each router/cycle to keep the hot loop allocation
     // free)
     reqs: Vec<Request>,
-    out_heads: Vec<i32>,
-    next_req: Vec<i32>,
-    granted_req: Vec<bool>,
-    grants: Vec<usize>,
+    alloc: SwitchAllocator,
+    grants: Vec<u16>,
+}
+
+/// Port limit of a router: one `u64` bit per local input or output.
+const MAX_RADIX: usize = 64;
+
+/// One router's separable switch allocator, in a single pass over its
+/// outputs.
+///
+/// Each output grants at most one request per cycle (the channel
+/// bound), and each input wins at most `alloc_iters` grants (the
+/// router speedup). An output picks the first eligible input at or
+/// after its round-robin pointer, cyclically, and among several
+/// requests from that input (one per VC) the earliest registered; the
+/// pointer then moves just past the winner. Outputs are visited in
+/// ascending order, so grants come out in output order.
+///
+/// One pass is the whole allocation: an output left ungranted had only
+/// requesters already at their cap when it was visited, and caps never
+/// drop within a cycle, so further iterations could never grant.
+#[derive(Clone)]
+struct SwitchAllocator {
+    /// Outputs with at least one registered request.
+    outs: u64,
+    /// Per output: the inputs requesting it. `grant` zeroes each entry
+    /// it visits, so the next router starts clean.
+    req_mask: [u64; MAX_RADIX],
+    /// Index of the first request of each (output, input) pair, at
+    /// `out * MAX_RADIX + in`; read only where `req_mask` has the bit.
+    first_req: Vec<u16>,
+}
+
+impl SwitchAllocator {
+    fn new(max_out: usize) -> Self {
+        Self { outs: 0, req_mask: [0; MAX_RADIX], first_req: vec![0; max_out * MAX_RADIX] }
+    }
+
+    /// Registers request number `idx` (in gather order) of input `input`
+    /// for output `out`.
+    #[inline]
+    fn request(&mut self, out: usize, input: usize, idx: usize) {
+        let bit = 1u64 << input;
+        if self.req_mask[out] & bit == 0 {
+            self.req_mask[out] |= bit;
+            self.first_req[out * MAX_RADIX + input] = idx as u16;
+        }
+        self.outs |= 1 << out;
+    }
+
+    /// Arbitrates every requested output of a router with `total_in`
+    /// inputs, appending the winning request indices to `grants` and
+    /// advancing the winners' round-robin pointers `rr[rr_key(out)]`.
+    fn grant(
+        &mut self,
+        total_in: usize,
+        alloc_iters: u8,
+        rr: &mut [u16],
+        rr_key: impl Fn(usize) -> usize,
+        grants: &mut Vec<u16>,
+    ) {
+        grants.clear();
+        let mut eligible = u64::MAX;
+        let mut wins = [0u8; MAX_RADIX];
+        let mut outs = std::mem::take(&mut self.outs);
+        while outs != 0 {
+            let o = outs.trailing_zeros() as usize;
+            outs &= outs - 1;
+            let mask = std::mem::take(&mut self.req_mask[o]) & eligible;
+            if mask == 0 {
+                continue;
+            }
+            let ptr = &mut rr[rr_key(o)];
+            let at_or_after = mask & (u64::MAX << *ptr);
+            let li = if at_or_after != 0 { at_or_after } else { mask }.trailing_zeros() as usize;
+            grants.push(self.first_req[o * MAX_RADIX + li]);
+            wins[li] += 1;
+            if wins[li] == alloc_iters {
+                eligible &= !(1 << li);
+            }
+            *ptr = if li + 1 == total_in { 0 } else { li as u16 + 1 };
+        }
+    }
 }
 
 impl<'a> Shard<'a> {
@@ -507,7 +669,10 @@ impl<'a> Shard<'a> {
         let lat = cfg.channel_latency as usize + cfg.packet_flits as usize - 1;
         let max_out = (0..graph.num_nodes() as NodeId).map(|u| graph.degree(u)).max().unwrap_or(0)
             + params.hosts_per_switch();
-        assert!(max_out <= 64, "router radix {max_out} exceeds the allocator's 64-port limit");
+        assert!(
+            max_out <= MAX_RADIX,
+            "router radix {max_out} exceeds the allocator's {MAX_RADIX}-port limit"
+        );
         assert!(num_vcs <= 32, "hop-indexed VC count {num_vcs} exceeds the 32-bit occupancy mask");
         Self {
             graph,
@@ -519,6 +684,8 @@ impl<'a> Shard<'a> {
             cfg,
             rate,
             num_vcs,
+            vc_div: DivU32::new(num_vcs),
+            host_div: DivU32::new(params.hosts_per_switch().max(1)),
             host_rng: (0..hosts as u64)
                 .map(|h| StdRng::seed_from_u64(stream_seed(cfg.seed, 0, h)))
                 .collect(),
@@ -534,6 +701,8 @@ impl<'a> Shard<'a> {
             src_q: (0..hosts).map(|_| VecDeque::new()).collect(),
             chan: (0..lat).map(|_| Vec::new()).collect(),
             cred: (0..lat).map(|_| Vec::new()).collect(),
+            chan_slot: 0,
+            cred_slot: 0,
             rr: vec![0; links + hosts],
             out_free: vec![0; links + hosts],
             rr_pair: HashMap::new(),
@@ -568,10 +737,8 @@ impl<'a> Shard<'a> {
             out_flits: Vec::new(),
             out_creds: Vec::new(),
             reqs: Vec::with_capacity(256),
-            out_heads: vec![-1; max_out],
-            next_req: Vec::with_capacity(256),
-            granted_req: Vec::with_capacity(256),
-            grants: Vec::with_capacity(64),
+            alloc: SwitchAllocator::new(max_out),
+            grants: Vec::with_capacity(MAX_RADIX),
         }
     }
 
@@ -582,6 +749,7 @@ impl<'a> Shard<'a> {
         let vcs = (self.num_vcs + 2).min(32);
         if vcs != self.num_vcs {
             self.num_vcs = vcs;
+            self.vc_div = DivU32::new(vcs);
             let links = self.graph.num_links();
             self.in_buf = (0..links * vcs).map(|_| VecDeque::new()).collect();
             self.credits = vec![self.cfg.vc_buffer; links * vcs];
@@ -670,17 +838,16 @@ impl<'a> Shard<'a> {
     /// to the owning shard of the link's sender when that is remote.
     #[inline]
     fn push_credit_return(&mut self, qi: u32) {
-        let deliver = self.cycle + self.cfg.channel_latency;
         if !self.shard_of.is_empty() {
-            let src = self.graph.link_dst(self.rev_link[(qi / self.num_vcs as u32) as usize]);
+            let src = self.graph.link_dst(self.rev_link[self.vc_div.div(qi) as usize]);
             let s = self.shard_of[src as usize];
             if s != self.my_shard {
+                let deliver = self.cycle + self.cfg.channel_latency;
                 self.out_creds[s as usize].push(CredMsg { deliver, qi });
                 return;
             }
         }
-        let slot = deliver as usize % self.cred.len();
-        self.cred[slot].push(qi);
+        self.cred[self.cred_slot].push(qi);
     }
 
     // Queue transitions. Every push and pop of an input VC queue or a
@@ -690,10 +857,11 @@ impl<'a> Shard<'a> {
     /// Appends a packet to network queue `qi`.
     #[inline]
     fn push_net(&mut self, qi: u32, id: PacketId) {
-        let (link, bit) = (qi as usize / self.num_vcs, 1 << (qi as usize % self.num_vcs));
-        if self.vc_occ[link] & bit == 0 {
-            self.vc_occ[link] |= bit;
-            self.rtr_load[self.graph.link_dst(link as LinkId) as usize] += 1;
+        let (link, vc) = self.vc_div.div_rem(qi);
+        let bit = 1 << vc;
+        if self.vc_occ[link as usize] & bit == 0 {
+            self.vc_occ[link as usize] |= bit;
+            self.rtr_load[self.graph.link_dst(link) as usize] += 1;
         }
         self.in_buf[qi as usize].push_back(id);
     }
@@ -703,9 +871,9 @@ impl<'a> Shard<'a> {
     fn pop_net(&mut self, qi: u32) -> Option<PacketId> {
         let popped = self.in_buf[qi as usize].pop_front();
         if popped.is_some() && self.in_buf[qi as usize].is_empty() {
-            let link = qi as usize / self.num_vcs;
-            self.vc_occ[link] &= !(1 << (qi as usize % self.num_vcs));
-            self.rtr_load[self.graph.link_dst(link as LinkId) as usize] -= 1;
+            let (link, vc) = self.vc_div.div_rem(qi);
+            self.vc_occ[link as usize] &= !(1 << vc);
+            self.rtr_load[self.graph.link_dst(link) as usize] -= 1;
         }
         popped
     }
@@ -714,7 +882,7 @@ impl<'a> Shard<'a> {
     #[inline]
     fn push_source(&mut self, h: u32, id: PacketId) {
         if self.src_q[h as usize].is_empty() {
-            self.rtr_load[self.params.switch_of_host(h as usize) as usize] += 1;
+            self.rtr_load[self.host_div.div(h) as usize] += 1;
         }
         self.src_q[h as usize].push_back(id);
     }
@@ -724,24 +892,33 @@ impl<'a> Shard<'a> {
     fn pop_source(&mut self, h: u32) -> Option<PacketId> {
         let popped = self.src_q[h as usize].pop_front();
         if popped.is_some() && self.src_q[h as usize].is_empty() {
-            self.rtr_load[self.params.switch_of_host(h as usize) as usize] -= 1;
+            self.rtr_load[self.host_div.div(h) as usize] -= 1;
         }
         popped
     }
 
     /// Delivers channel arrivals and credit returns due this cycle into
-    /// the input buffers and credit counters.
+    /// the input buffers and credit counters, and sets the slots this
+    /// cycle's sends file into. Both slots are drained in place so they
+    /// keep their capacity for the sends that refill them.
     pub(crate) fn deliver_due(&mut self) {
         let slot = self.cycle as usize % self.chan.len();
-        let arrivals = std::mem::take(&mut self.chan[slot]);
-        for (pkt, qi) in arrivals {
+        self.chan_slot = slot;
+        // `channel_latency <= chan.len()`, so one subtraction wraps it.
+        self.cred_slot = slot + self.cfg.channel_latency as usize;
+        if self.cred_slot >= self.cred.len() {
+            self.cred_slot -= self.cred.len();
+        }
+        for i in 0..self.chan[slot].len() {
+            let (pkt, qi) = self.chan[slot][i];
             self.push_net(qi, pkt);
         }
-        let returns = std::mem::take(&mut self.cred[slot]);
-        for qi in returns {
+        self.chan[slot].clear();
+        for &qi in &self.cred[slot] {
             self.credits[qi as usize] += self.cfg.packet_flits;
             debug_assert!(self.credits[qi as usize] <= self.cfg.vc_buffer);
         }
+        self.cred[slot].clear();
     }
 
     /// Total downstream occupancy of the channel `u -> v` over all VCs —
@@ -972,6 +1149,7 @@ impl<'a> Shard<'a> {
     /// are recorded inline into `acc`.
     pub(crate) fn allocate(&mut self, measuring: bool) {
         let hps = self.params.hosts_per_switch();
+        let num_links = self.graph.num_links();
         // Per-router phase spans (route / arbitrate / eject) are the
         // finest trace granularity; they run on a sparser stride than the
         // cycle-stage spans so full sweeps stay cheap.
@@ -984,6 +1162,7 @@ impl<'a> Shard<'a> {
             }
             let deg = self.graph.degree(r);
             let out_base = self.graph.out_links(r).start;
+            let host_start = r as usize * hps;
             #[cfg(feature = "obs")]
             let route_span = detail.then(|| jellyfish_obs::trace::span("flitsim.phase.route"));
             // Gather requests.
@@ -1006,24 +1185,25 @@ impl<'a> Shard<'a> {
                     if let Some(req) =
                         self.request_for(pkt, r, deg, out_base, i as u16, QueueRef::Net(qi))
                     {
-                        self.reqs.push(req);
+                        self.add_request(req);
                     }
                 }
             }
             // Injection inputs: one source queue per local host.
-            let host_range = self.params.hosts_of_switch(r);
-            for (slot, h) in host_range.clone().enumerate() {
+            for slot in 0..hps {
+                let h = host_start + slot;
                 let Some(&pkt) = self.src_q[h].front() else {
                     continue;
                 };
                 // Route on first observation at the head of the queue so
                 // adaptive mechanisms see current congestion.
-                if self.arena.path(pkt).is_empty() {
-                    let dst_sw = self.params.switch_of_host(self.arena.dst_host(pkt) as usize);
+                if self.arena.next_link(pkt) == UNROUTED {
+                    let dst_sw = self.host_div.div(self.arena.dst_host(pkt));
                     let mut path = self.arena.take_path(pkt);
                     self.choose_path(r, dst_sw, &mut path);
+                    let routed = !path.is_empty();
                     self.arena.set_path(pkt, path);
-                    if self.arena.path(pkt).is_empty() {
+                    if !routed {
                         // No surviving route to the destination.
                         self.pop_source(h as u32);
                         #[cfg(feature = "audit")]
@@ -1038,6 +1218,7 @@ impl<'a> Shard<'a> {
                         self.dropped += 1;
                         continue;
                     }
+                    self.arena.resolve_next_link(pkt, self.graph);
                 }
                 if self.fault_view.is_some() && !self.fault_fate(pkt, r) {
                     self.pop_source(h as u32);
@@ -1061,7 +1242,7 @@ impl<'a> Shard<'a> {
                     (deg + slot) as u16,
                     QueueRef::Source(h as u32),
                 ) {
-                    self.reqs.push(req);
+                    self.add_request(req);
                 }
             }
             #[cfg(feature = "obs")]
@@ -1071,63 +1252,17 @@ impl<'a> Shard<'a> {
             }
             #[cfg(feature = "obs")]
             let arb_span = detail.then(|| jellyfish_obs::trace::span("flitsim.phase.arbitrate"));
-
-            // Separable allocation with `alloc_iters` iterations: each
-            // output grants at most one request per cycle (channel bound);
-            // each input port wins at most `alloc_iters` times (router
-            // speedup).
-            let num_out = deg + hps;
-            // Chain requests per output: out_heads[o] -> first req index.
-            let out_heads = &mut self.out_heads[..num_out];
-            out_heads.fill(-1);
-            self.next_req.clear();
-            self.next_req.resize(self.reqs.len(), -1);
-            for (idx, req) in self.reqs.iter().enumerate().rev() {
-                self.next_req[idx] = out_heads[req.out_local as usize];
-                out_heads[req.out_local as usize] = idx as i32;
-            }
-            let mut in_grants = [0u8; 64];
-            self.granted_req.clear();
-            self.granted_req.resize(self.reqs.len(), false);
-            self.grants.clear();
-            for _ in 0..self.cfg.alloc_iters {
-                #[allow(clippy::needless_range_loop)] // o indexes three arrays
-                for o in 0..num_out {
-                    if out_heads[o] == i32::MIN || out_heads[o] == -1 {
-                        continue; // no requests / already granted this cycle
-                    }
-                    // Round-robin pointer over local input indices.
-                    let rr_key = if o < deg {
-                        (out_base + o as u32) as usize
-                    } else {
-                        self.graph.num_links() + host_range.start + (o - deg)
-                    };
-                    let ptr = self.rr[rr_key];
-                    let mut best: Option<(u16, usize)> = None; // (rotated idx, req)
-                    let total_in = (deg + hps) as u16;
-                    let mut cur = out_heads[o];
-                    while cur >= 0 {
-                        let req = &self.reqs[cur as usize];
-                        if !self.granted_req[cur as usize]
-                            && in_grants[req.local_in as usize] < self.cfg.alloc_iters
-                        {
-                            let rot = (req.local_in + total_in - ptr) % total_in;
-                            if best.is_none_or(|(b, _)| rot < b) {
-                                best = Some((rot, cur as usize));
-                            }
-                        }
-                        cur = self.next_req[cur as usize];
-                    }
-                    if let Some((_, ridx)) = best {
-                        self.granted_req[ridx] = true;
-                        let li = self.reqs[ridx].local_in;
-                        in_grants[li as usize] += 1;
-                        self.rr[rr_key] = (li + 1) % total_in;
-                        self.grants.push(ridx);
-                        out_heads[o] = i32::MIN;
-                    }
-                }
-            }
+            // Round-robin pointers: a network output's is keyed by its
+            // link, ejection port `deg + s`'s by its host.
+            let eject_key = num_links + host_start - deg;
+            let out_base_key = out_base as usize;
+            self.alloc.grant(
+                deg + hps,
+                self.cfg.alloc_iters,
+                &mut self.rr,
+                |o| if o < deg { out_base_key + o } else { eject_key + o },
+                &mut self.grants,
+            );
 
             #[cfg(feature = "obs")]
             drop(arb_span);
@@ -1136,7 +1271,7 @@ impl<'a> Shard<'a> {
             // Apply grants.
             let grants = std::mem::take(&mut self.grants);
             for &ridx in &grants {
-                let req = self.reqs[ridx];
+                let req = self.reqs[ridx as usize];
                 // Pop from the source queue / input buffer.
                 let popped = match req.queue {
                     QueueRef::Source(h) => self.pop_source(h),
@@ -1149,11 +1284,12 @@ impl<'a> Shard<'a> {
                 };
                 debug_assert_eq!(popped, Some(req.packet));
                 let flits = self.cfg.packet_flits as u32;
+                let out_link = out_base + req.out_local as u32;
                 if flits > 1 {
                     let key = if req.qi_next == u32::MAX {
-                        self.graph.num_links() + self.arena.dst_host(req.packet) as usize
+                        num_links + self.arena.dst_host(req.packet) as usize
                     } else {
-                        req.qi_next as usize / self.num_vcs
+                        out_link as usize
                     };
                     self.out_free[key] = self.cycle + flits;
                 }
@@ -1203,9 +1339,9 @@ impl<'a> Shard<'a> {
                     // Onto the channel; consume the downstream credits.
                     debug_assert!(self.credits[req.qi_next as usize] >= self.cfg.packet_flits);
                     self.credits[req.qi_next as usize] -= self.cfg.packet_flits;
-                    self.arena.bump_hop(req.packet);
+                    self.arena.bump_hop(req.packet, self.graph);
                     if measuring {
-                        self.link_sends[req.qi_next as usize / self.num_vcs] += 1;
+                        self.link_sends[out_link as usize] += 1;
                     }
                     #[cfg(feature = "audit")]
                     self.audit_record(AuditEvent::Forward {
@@ -1214,27 +1350,30 @@ impl<'a> Shard<'a> {
                         qi: req.qi_next,
                         packet: req.packet,
                     });
-                    // Tail flit lands after serialization + wire delay.
-                    let arrive =
-                        self.cycle + self.cfg.channel_latency + self.cfg.packet_flits as u32 - 1;
                     if !self.shard_of.is_empty() {
-                        let dst =
-                            self.graph.link_dst((req.qi_next / self.num_vcs as u32) as LinkId);
-                        let s = self.shard_of[dst as usize];
+                        let s = self.shard_of[self.graph.link_dst(out_link) as usize];
                         if s != self.my_shard {
                             // Downstream buffer lives on another shard:
-                            // hand the packet off at the barrier.
+                            // hand the packet off at the barrier. The tail
+                            // flit lands after serialization + wire delay.
+                            let arrive = self.cycle + self.cfg.channel_latency + flits - 1;
                             let msg = self.arena.take_for_handoff(req.packet, arrive, req.qi_next);
                             self.out_flits[s as usize].push(msg);
                             continue;
                         }
                     }
-                    let slot = arrive as usize % self.chan.len();
-                    self.chan[slot].push((req.packet, req.qi_next));
+                    self.chan[self.chan_slot].push((req.packet, req.qi_next));
                 }
             }
             self.grants = grants;
         }
+    }
+
+    /// Registers a gathered request with this router's allocator.
+    #[inline]
+    fn add_request(&mut self, req: Request) {
+        self.alloc.request(req.out_local as usize, req.local_in as usize, self.reqs.len());
+        self.reqs.push(req);
     }
 
     /// Checks a head packet's next link under the current fault view.
@@ -1242,23 +1381,20 @@ impl<'a> Shard<'a> {
     /// reroute onto a surviving path succeeded) and `false` once it has
     /// exhausted its retry budget and must be dropped by the caller.
     fn fault_fate(&mut self, pkt_id: PacketId, r: NodeId) -> bool {
-        let hop = self.arena.hop(pkt_id) as usize;
-        let path_len = self.arena.path(pkt_id).len();
-        let dst_host = self.arena.dst_host(pkt_id);
-        if hop + 1 >= path_len {
+        let link = self.arena.next_link(pkt_id);
+        if link == EJECT {
             return true; // at the destination switch: ejection needs no link
         }
-        let next = self.arena.path(pkt_id)[hop + 1];
-        let link = self.graph.link_id(r, next).expect("route follows edges");
         let view = self.fault_view.as_ref().expect("checked by caller");
         if view.link_is_live(link) {
             return true;
         }
+        let hop = self.arena.hop(pkt_id) as usize;
         // The next link is dead: splice a surviving route from here. All
         // degraded-table paths are live and fit the VC budget after
         // `retain_max_hops`, so a candidate only has to fit the hops this
         // packet already consumed.
-        let dst_sw = self.params.switch_of_host(dst_host as usize);
+        let dst_sw = self.host_div.div(self.arena.dst_host(pkt_id));
         let budget = self.num_vcs - hop;
         let table = self.degraded_table.as_ref().unwrap_or(self.table);
         let mut choice = None;
@@ -1281,6 +1417,7 @@ impl<'a> Shard<'a> {
                 path.truncate(hop + 1);
                 debug_assert_eq!(*path.last().expect("non-empty prefix"), r);
                 path.extend_from_slice(&tail[1..]);
+                self.arena.resolve_next_link(pkt_id, self.graph);
                 self.arena.reset_retries(pkt_id);
                 self.rerouted += 1;
                 #[cfg(feature = "audit")]
@@ -1497,12 +1634,16 @@ impl<'a> Shard<'a> {
         queue: QueueRef,
     ) -> Option<Request> {
         let hop = self.arena.hop(pkt_id);
-        let dst_host = self.arena.dst_host(pkt_id);
-        let path = self.arena.path(pkt_id);
-        let dst_sw = self.params.switch_of_host(dst_host as usize);
-        debug_assert_eq!(path[hop as usize], r, "packet off its route");
-        if r == dst_sw && hop as usize == path.len() - 1 {
+        let out_link = self.arena.next_link(pkt_id);
+        debug_assert_eq!(self.arena.path(pkt_id)[hop as usize], r, "packet off its route");
+        debug_assert_eq!(
+            out_link,
+            route_link(self.graph, self.arena.path(pkt_id), hop as usize),
+            "stale next link"
+        );
+        if out_link == EJECT {
             // Eject to the local host (if its port is free).
+            let dst_host = self.arena.dst_host(pkt_id);
             if self.out_free[self.graph.num_links() + dst_host as usize] > self.cycle {
                 return None;
             }
@@ -1515,8 +1656,6 @@ impl<'a> Shard<'a> {
                 packet: pkt_id,
             });
         }
-        let next = path[hop as usize + 1];
-        let out_link = self.graph.link_id(r, next).expect("route follows edges");
         if let Some(view) = &self.fault_view {
             if !view.link_is_live(out_link) {
                 return None; // failed link: fault handling reroutes or drops
@@ -1576,9 +1715,10 @@ impl<'a> Shard<'a> {
 
     /// Per-packet route checks: the packet sits where its hop index
     /// claims, its remaining route follows graph edges and fits the
-    /// hop-indexed VC budget, and a packet on a wire occupies a live
-    /// link. (Edges *further along* the route may legitimately be dead:
-    /// reroute/retry handles them when the packet reaches the head.)
+    /// hop-indexed VC budget, its cached next link is its route's, and a
+    /// packet on a wire occupies a live link. (Edges *further along* the
+    /// route may legitimately be dead: reroute/retry handles them when
+    /// the packet reaches the head.)
     #[cfg(feature = "audit")]
     pub(crate) fn audit_packet(
         &self,
@@ -1588,7 +1728,8 @@ impl<'a> Shard<'a> {
         src_host: Option<u32>,
     ) -> Result<(), Violation> {
         let who = AuditedPacket::Queued(pid);
-        self.audit_route(a, who, self.arena.hop(pid) as usize, self.arena.path(pid), net, src_host)
+        let route = (self.arena.hop(pid) as usize, self.arena.path(pid), self.arena.next_link(pid));
+        self.audit_route(a, who, route, net, src_host)
     }
 
     /// [`Self::audit_packet`] for a packet crossing a shard boundary,
@@ -1600,17 +1741,18 @@ impl<'a> Shard<'a> {
         m: &FlitMsg,
     ) -> Result<(), Violation> {
         let net = Some((m.qi, true));
-        self.audit_route(a, AuditedPacket::Boundary, m.hop as usize, &m.path, net, None)
+        let route = (m.hop as usize, &m.path[..], m.next_link);
+        self.audit_route(a, AuditedPacket::Boundary, route, net, None)
     }
 
-    /// The route checks behind both, on a packet's hop index and route.
+    /// The route checks behind both, on a packet's hop index, route and
+    /// cached next link.
     #[cfg(feature = "audit")]
     fn audit_route(
         &self,
         a: &mut Auditor,
         who: AuditedPacket,
-        hop: usize,
-        path: &[NodeId],
+        (hop, path, next_link): (usize, &[NodeId], LinkId),
         net: Option<(u32, bool)>,
         src_host: Option<u32>,
     ) -> Result<(), Violation> {
@@ -1623,6 +1765,13 @@ impl<'a> Shard<'a> {
                 ));
             }
             if path.is_empty() {
+                if next_link != UNROUTED {
+                    return Err(a.violation(
+                        "route-validity",
+                        self.cycle,
+                        format!("{who} at host {h} is unrouted but caches next link {next_link}"),
+                    ));
+                }
                 return Ok(()); // routed on first observation at the head
             }
             let sw = self.params.switch_of_host(h as usize);
@@ -1688,6 +1837,25 @@ impl<'a> Shard<'a> {
                 ));
             }
         }
+        // Resolved on routing, on every hop and on every reroute, and
+        // carried across shard hand-offs.
+        let want = route_link(self.graph, path, hop);
+        if next_link != want {
+            let name = |l: LinkId| match l {
+                UNROUTED => "unrouted".to_string(),
+                EJECT => "eject".to_string(),
+                l => format!("link {l}"),
+            };
+            return Err(a.violation(
+                "route-validity",
+                self.cycle,
+                format!(
+                    "{who} caches next {} but its route at hop {hop} says {}",
+                    name(next_link),
+                    name(want)
+                ),
+            ));
+        }
         Ok(())
     }
 }
@@ -1732,6 +1900,122 @@ mod tests {
 
     fn uniform(p: &RrgParams) -> PacketDestinations {
         PacketDestinations::Uniform { num_hosts: p.num_hosts() }
+    }
+
+    mod allocator {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The allocator `SwitchAllocator` replaced, kept as its
+        /// reference: `alloc_iters` rounds over the outputs, each walking
+        /// a linked chain of that output's requests `(input, output)` in
+        /// gather order. Returns the granted request indices in grant
+        /// order; `rr` is indexed by output.
+        fn chain_walk_grants(
+            reqs: &[(u16, u16)],
+            total_in: usize,
+            alloc_iters: u8,
+            rr: &mut [u16],
+        ) -> Vec<usize> {
+            let mut out_heads = vec![-1i32; total_in];
+            let mut next_req = vec![-1i32; reqs.len()];
+            for (idx, &(_, o)) in reqs.iter().enumerate().rev() {
+                next_req[idx] = out_heads[o as usize];
+                out_heads[o as usize] = idx as i32;
+            }
+            let mut in_grants = [0u8; 64];
+            let mut granted_req = vec![false; reqs.len()];
+            let mut grants = Vec::new();
+            let total = total_in as u16;
+            for _ in 0..alloc_iters {
+                for o in 0..total_in {
+                    if out_heads[o] == i32::MIN || out_heads[o] == -1 {
+                        continue; // no requests / already granted this cycle
+                    }
+                    let ptr = rr[o];
+                    let mut best: Option<(u16, usize)> = None; // (rotated idx, req)
+                    let mut cur = out_heads[o];
+                    while cur >= 0 {
+                        let li = reqs[cur as usize].0;
+                        if !granted_req[cur as usize] && in_grants[li as usize] < alloc_iters {
+                            let rot = (li + total - ptr) % total;
+                            if best.is_none_or(|(b, _)| rot < b) {
+                                best = Some((rot, cur as usize));
+                            }
+                        }
+                        cur = next_req[cur as usize];
+                    }
+                    if let Some((_, ridx)) = best {
+                        granted_req[ridx] = true;
+                        let li = reqs[ridx].0;
+                        in_grants[li as usize] += 1;
+                        rr[o] = (li + 1) % total;
+                        grants.push(ridx);
+                        out_heads[o] = i32::MIN;
+                    }
+                }
+            }
+            grants
+        }
+
+        fn single_pass_grants(
+            alloc: &mut SwitchAllocator,
+            reqs: &[(u16, u16)],
+            total_in: usize,
+            alloc_iters: u8,
+            rr: &mut [u16],
+        ) -> Vec<usize> {
+            for (idx, &(i, o)) in reqs.iter().enumerate() {
+                alloc.request(o as usize, i as usize, idx);
+            }
+            let mut grants = Vec::new();
+            alloc.grant(total_in, alloc_iters, rr, |o| o, &mut grants);
+            grants.into_iter().map(usize::from).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Same grants, same order, same round-robin pointers as the
+            /// chain walk, over random request sets: radix up to 64,
+            /// several VCs of one input on one output (`hot` squeezes
+            /// the outputs), one to three iterations. Each allocator
+            /// serves two request sets in a row, as it serves router
+            /// after router.
+            #[test]
+            fn single_pass_allocator_matches_the_chain_walk(
+                total_in in prop_oneof![Just(64usize), 1usize..=64],
+                hot in 1usize..=64,
+                alloc_iters in 1u8..=3,
+                raw in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..300),
+                ptrs in proptest::collection::vec(any::<u16>(), 64),
+            ) {
+                let outs = hot.min(total_in);
+                let reqs: Vec<(u16, u16)> = raw
+                    .iter()
+                    .map(|&(i, o)| (i % total_in as u16, o % outs as u16))
+                    .collect();
+                let rr: Vec<u16> = ptrs[..total_in].iter().map(|p| p % total_in as u16).collect();
+                let mut alloc = SwitchAllocator::new(total_in);
+                let (mut rr_old, mut rr_new) = (rr.clone(), rr);
+                for reqs in [&reqs[..], &reqs[reqs.len() / 2..]] {
+                    let want = chain_walk_grants(reqs, total_in, alloc_iters, &mut rr_old);
+                    let got = single_pass_grants(&mut alloc, reqs, total_in, alloc_iters, &mut rr_new);
+                    prop_assert_eq!(&got, &want, "radix {} iters {}", total_in, alloc_iters);
+                    prop_assert_eq!(&rr_new, &rr_old);
+                    prop_assert!(alloc.outs == 0 && alloc.req_mask.iter().all(|&m| m == 0));
+                }
+            }
+
+            #[test]
+            fn multiply_shift_division_is_exact(
+                d in prop_oneof![1usize..=64, 1usize..=1 << 31],
+                n in prop_oneof![any::<u32>(), Just(u32::MAX), Just(0u32)],
+            ) {
+                let div = DivU32::new(d);
+                prop_assert_eq!(div.div_rem(n), (n / d as u32, n % d as u32), "{} / {}", n, d);
+            }
+        }
     }
 
     #[test]

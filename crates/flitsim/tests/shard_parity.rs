@@ -226,6 +226,34 @@ fn saturating_run_exits_identically() {
     }
 }
 
+/// The cached next link at its two hand-over points: a packet rerouted
+/// around a link cut mid-run and a packet crossing into another shard.
+/// KSP-adaptive at saturating load with a tenth of the links cut at
+/// cycle 300: four shards reproduce the one-shard bytes, and under the
+/// `audit` feature both legs also run audited (route validity checks
+/// every cached link) and stay byte-identical.
+#[test]
+fn rerouted_saturating_adaptive_run_matches_at_four_shards() {
+    let f = fixture(6, PathSelection::REdKsp(4));
+    let plan = FaultPlan::random_links(&f.g, 0.1, 300, 5);
+    let mut cfg = SimConfig::paper();
+    cfg.seed = 11;
+    let mech = Mechanism::KspAdaptive;
+    let reference = run(&f, mech, 0.9, cfg, Some(&plan), 1);
+    assert!(reference.saturated && reference.rerouted > 0, "{reference:?}");
+    let sharded = run(&f, mech, 0.9, cfg, Some(&plan), 4);
+    assert_byte_identical(&reference, &sharded, "rerouted adaptive threads=4");
+    #[cfg(feature = "audit")]
+    for threads in [1, 4] {
+        let mut sim = Simulator::new(&f.g, f.p, &f.t, None, mech, uniform(&f.p), 0.9, cfg)
+            .with_threads(threads)
+            .with_auditor(jellyfish_flitsim::AuditConfig::default())
+            .with_fault_plan(&plan);
+        let audited = sim.run();
+        assert_byte_identical(&reference, &audited, &format!("audited threads={threads}"));
+    }
+}
+
 /// Thread counts beyond the router count clamp to one router per shard
 /// and still reproduce the one-shard bytes.
 #[test]
