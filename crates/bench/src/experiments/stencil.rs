@@ -107,14 +107,28 @@ pub fn paper_improvements(linear: bool) -> [(f64, f64); 4] {
 
 /// Prints a stencil table with improvement columns like the paper's.
 pub fn print_stencil_table(t: &StencilTable, linear: bool) {
-    println!(
-        "Stencil communication time, {} mapping (seconds; improvement of rEDKSP(8))",
+    print!("{}", render_stencil_table(t, linear));
+}
+
+/// Renders a stencil table with improvement columns like the paper's.
+/// Times print in microseconds: a quick-scale run takes tens of them,
+/// which four decimals of a second would show as `0.0000`.
+pub fn render_stencil_table(t: &StencilTable, linear: bool) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let us = |row: &StencilRow, sel: &str| row.times[sel] * 1e6;
+    writeln!(
+        out,
+        "Stencil communication time, {} mapping (microseconds; improvement of rEDKSP(8))",
         t.mapping
-    );
-    println!(
+    )
+    .expect("string write");
+    writeln!(
+        out,
         "{:<10} {:>11} {:>11} {:>13} {:>11} {:>13}  (paper imp.)",
         "app", "rEDKSP(8)", "KSP(8)", "imp. vs KSP", "rKSP(8)", "imp. vs rKSP"
-    );
+    )
+    .expect("string write");
     let paper = paper_improvements(linear);
     let mut sum_ksp = 0.0;
     let mut sum_rksp = 0.0;
@@ -123,18 +137,21 @@ pub fn print_stencil_table(t: &StencilTable, linear: bool) {
         let imp_rksp = row.improvement_over("rKSP(8)");
         sum_ksp += imp_ksp;
         sum_rksp += imp_rksp;
-        println!(
-            "{:<10} {:>11.4} {:>11.4} {:>12.1}% {:>11.4} {:>12.1}%  ({p_ksp:.1}%, {p_rksp:.1}%)",
+        writeln!(
+            out,
+            "{:<10} {:>11.2} {:>11.2} {:>12.1}% {:>11.2} {:>12.1}%  ({p_ksp:.1}%, {p_rksp:.1}%)",
             row.app,
-            row.times["rEDKSP(8)"],
-            row.times["KSP(8)"],
+            us(row, "rEDKSP(8)"),
+            us(row, "KSP(8)"),
             imp_ksp,
-            row.times["rKSP(8)"],
+            us(row, "rKSP(8)"),
             imp_rksp
-        );
+        )
+        .expect("string write");
     }
     let n = t.rows.len() as f64;
-    println!(
+    writeln!(
+        out,
         "{:<10} {:>11} {:>11} {:>12.1}% {:>11} {:>12.1}%",
         "average",
         "",
@@ -142,12 +159,35 @@ pub fn print_stencil_table(t: &StencilTable, linear: bool) {
         sum_ksp / n,
         "",
         sum_rksp / n
-    );
+    )
+    .expect("string write");
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stencil_times_render_in_readable_microseconds() {
+        let times = |us: f64| {
+            ["rEDKSP(8)", "KSP(8)", "rKSP(8)"]
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (s.to_string(), (us + i as f64) * 1e-6))
+                .collect()
+        };
+        let t = StencilTable {
+            mapping: "linear",
+            rows: vec![StencilRow { app: "2d-5pt", times: times(37.0) }],
+        };
+        let text = render_stencil_table(&t, true);
+        assert!(text.starts_with("Stencil communication time, linear mapping (microseconds;"));
+        let row = text.lines().nth(2).expect("one row");
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells[..3], ["2d-5pt", "37.00", "38.00"], "{row}");
+        assert_eq!(cells[4], "39.00", "{row}");
+    }
 
     #[test]
     fn selections_match_paper_columns() {

@@ -381,6 +381,9 @@ pub(crate) struct ScenarioState<'a> {
     arrivals: Vec<u64>,
     /// Flows queued (or mid-injection) at each host's NIC, round-robin.
     pub(crate) active: Vec<VecDeque<ActiveFlow>>,
+    /// One bit per host whose `active` queue is non-empty, so the NIC
+    /// pass and the quiescence test skip the empty ones.
+    pub(crate) queued: Vec<u64>,
     /// Flows arrived over the whole run (stochastic + explicit).
     pub(crate) flows_generated: u64,
     /// Flows whose every packet ejected at the destination.
@@ -395,6 +398,22 @@ pub(crate) struct ScenarioState<'a> {
     pub(crate) fct_hist: LogHistogram,
     /// Exact sum of the recorded completion times (cycles).
     pub(crate) fct_sum: u64,
+}
+
+impl ScenarioState<'_> {
+    /// Start cycle of the next unapplied phase or explicit flow
+    /// (`u64::MAX` once both lists are done).
+    fn next_start(&self) -> u64 {
+        let phase = self.plan.phases().get(self.next_phase).map_or(u64::MAX, |p| p.start);
+        let flow = self.plan.flows().get(self.next_flow).map_or(u64::MAX, |f| f.start);
+        phase.min(flow)
+    }
+}
+
+/// Appends a flow to host `h`'s NIC queue and marks the host queued.
+fn enqueue_flow(active: &mut [VecDeque<ActiveFlow>], queued: &mut [u64], h: u32, f: ActiveFlow) {
+    active[h as usize].push_back(f);
+    queued[h as usize / 64] |= 1 << (h % 64);
 }
 
 /// Where a request's packet currently queues.
@@ -778,6 +797,7 @@ impl<'a> Shard<'a> {
             mode: ScenarioMode::Idle,
             arrivals: vec![0; hosts],
             active: vec![VecDeque::new(); hosts],
+            queued: vec![0; hosts.div_ceil(64)],
             flows_generated: 0,
             flows_completed: 0,
             flow_eject: HashMap::new(),
@@ -1048,81 +1068,128 @@ impl<'a> Shard<'a> {
 
     /// Generates new packets for this cycle according to the configured
     /// injection process (or the attached scenario's current phase).
+    ///
+    /// In a flows phase every live host first draws its arrival, then
+    /// each NIC with queued flows feeds one packet. An arrival touches
+    /// only its own host's queue, so packets are allocated in the same
+    /// host order as a single interleaved pass would allocate them. An
+    /// idle phase walks only the NICs with queued flows.
     pub(crate) fn generate(&mut self, measuring: bool) {
-        let mut scenario = self.scenario.take();
-        for h in self.host_lo..self.host_hi {
-            if let Some(view) = &self.fault_view {
-                // Hosts of a failed switch are off the network.
-                if !view.node_is_live(self.params.switch_of_host(h as usize)) {
-                    continue;
+        let Some(mut sc) = self.scenario.take() else {
+            for h in self.host_lo..self.host_hi {
+                if self.host_is_live(h) {
+                    self.open_loop(h, measuring);
                 }
             }
-            if let Some(sc) = scenario.as_mut() {
-                self.scenario_inject(sc, h, measuring);
-                if !matches!(sc.mode, ScenarioMode::Steady) {
-                    continue; // open-loop injection is steady-phase only
-                }
-            }
-            let fire = match self.cfg.injection {
-                InjectionProcess::Bernoulli => {
-                    self.host_rng[h as usize].random::<f64>() < self.rate
-                }
-                InjectionProcess::Periodic => {
-                    self.inj_credit[h as usize] += self.rate;
-                    if self.inj_credit[h as usize] >= 1.0 {
-                        self.inj_credit[h as usize] -= 1.0;
-                        true
-                    } else {
-                        false
+            return;
+        };
+        match sc.mode {
+            ScenarioMode::Steady => {
+                for h in self.host_lo..self.host_hi {
+                    if self.host_is_live(h) {
+                        self.feed_nic(&mut sc, h, measuring);
+                        self.open_loop(h, measuring);
                     }
                 }
-            };
-            if !fire {
-                continue;
             }
-            let Some(dst) = self.pattern.sample(h, &mut self.host_rng[h as usize]) else {
-                continue;
-            };
-            if self.src_q[h as usize].len() >= self.cfg.source_queue_cap {
-                self.overflowed = true;
-                continue;
+            ScenarioMode::Flows { .. } => {
+                self.flow_arrivals(&mut sc);
+                self.feed_nics(&mut sc, measuring);
             }
-            let id = self.arena.alloc(dst, self.cycle);
-            self.push_source(h, id);
-            self.generated_total += 1;
-            #[cfg(feature = "audit")]
-            self.audit_record(AuditEvent::Inject { cycle: self.cycle, host: h, packet: id });
-            if measuring {
-                self.measured_generated += 1;
-            }
+            ScenarioMode::Idle => self.feed_nics(&mut sc, measuring),
         }
-        self.scenario = scenario;
+        self.scenario = Some(sc);
     }
 
-    /// Scenario-side injection for host `h`: a possible new flow
-    /// arrival (flows phases only) followed by the NIC feeding at most
-    /// one packet of the head active flow into the source queue.
-    fn scenario_inject(&mut self, sc: &mut ScenarioState<'a>, h: u32, measuring: bool) {
-        if let ScenarioMode::Flows { rates, size, matrix, hot } = &sc.mode {
-            if self.host_rng[h as usize].random::<f64>() < rates[h as usize] {
-                let uid = (u64::from(h) << 32) | sc.arrivals[h as usize];
-                sc.arrivals[h as usize] += 1;
-                // Per-flow stream: the destination and size depend only
-                // on the flow's identity, never on shard count or
-                // execution order.
-                let mut frng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, 2, uid));
-                let dst = matrix.sample_dst(h, self.params.num_hosts(), hot, &mut frng);
-                let packets = size.sample(frng.random::<f64>());
-                sc.active[h as usize].push_back(ActiveFlow {
-                    uid,
-                    dst,
-                    size: packets,
-                    remaining: packets,
-                    arrival: self.cycle,
-                });
-                sc.flows_generated += 1;
+    /// Whether host `h` is on the network: hosts of a failed switch are
+    /// not.
+    #[inline]
+    fn host_is_live(&self, h: u32) -> bool {
+        self.fault_view
+            .as_ref()
+            .is_none_or(|view| view.node_is_live(self.params.switch_of_host(h as usize)))
+    }
+
+    /// Open-loop injection for host `h` (no scenario, or a steady
+    /// phase): a Bernoulli or periodic draw, then a destination from the
+    /// pattern.
+    fn open_loop(&mut self, h: u32, measuring: bool) {
+        let fire = match self.cfg.injection {
+            InjectionProcess::Bernoulli => self.host_rng[h as usize].random::<f64>() < self.rate,
+            InjectionProcess::Periodic => {
+                self.inj_credit[h as usize] += self.rate;
+                if self.inj_credit[h as usize] >= 1.0 {
+                    self.inj_credit[h as usize] -= 1.0;
+                    true
+                } else {
+                    false
+                }
+            }
+        };
+        if !fire {
+            return;
+        }
+        let Some(dst) = self.pattern.sample(h, &mut self.host_rng[h as usize]) else {
+            return;
+        };
+        if self.src_q[h as usize].len() >= self.cfg.source_queue_cap {
+            self.overflowed = true;
+            return;
+        }
+        let id = self.arena.alloc(dst, self.cycle);
+        self.push_source(h, id);
+        self.generated_total += 1;
+        #[cfg(feature = "audit")]
+        self.audit_record(AuditEvent::Inject { cycle: self.cycle, host: h, packet: id });
+        if measuring {
+            self.measured_generated += 1;
+        }
+    }
+
+    /// Draws this cycle's possible flow arrival at every live host
+    /// (flows phases only).
+    fn flow_arrivals(&mut self, sc: &mut ScenarioState<'a>) {
+        let ScenarioMode::Flows { rates, size, matrix, hot } = &sc.mode else { return };
+        for h in self.host_lo..self.host_hi {
+            if !self.host_is_live(h)
+                || self.host_rng[h as usize].random::<f64>() >= rates[h as usize]
+            {
+                continue;
+            }
+            let uid = (u64::from(h) << 32) | sc.arrivals[h as usize];
+            sc.arrivals[h as usize] += 1;
+            // Per-flow stream: the destination and size depend only on
+            // the flow's identity, never on shard count or execution
+            // order.
+            let mut frng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, 2, uid));
+            let dst = matrix.sample_dst(h, self.params.num_hosts(), hot, &mut frng);
+            let packets = size.sample(frng.random::<f64>());
+            let flow =
+                ActiveFlow { uid, dst, size: packets, remaining: packets, arrival: self.cycle };
+            enqueue_flow(&mut sc.active, &mut sc.queued, h, flow);
+            sc.flows_generated += 1;
+        }
+    }
+
+    /// Feeds one packet at each live NIC with queued flows, in host
+    /// order.
+    fn feed_nics(&mut self, sc: &mut ScenarioState<'a>, measuring: bool) {
+        let words = self.host_lo as usize / 64..(self.host_hi as usize).div_ceil(64);
+        for w in words {
+            let mut bits = sc.queued[w];
+            while bits != 0 {
+                let h = (w * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                if self.host_is_live(h) {
+                    self.feed_nic(sc, h, measuring);
+                }
             }
         }
+    }
+
+    /// Host `h`'s NIC feeds at most one packet of its head active flow
+    /// into the source queue, round-robin across the host's flows.
+    fn feed_nic(&mut self, sc: &mut ScenarioState<'a>, h: u32, measuring: bool) {
         let Some(mut f) = sc.active[h as usize].pop_front() else { return };
         if self.src_q[h as usize].len() >= self.cfg.source_queue_cap {
             // NIC backpressure: closed-loop flows wait, they don't
@@ -1140,8 +1207,9 @@ impl<'a> Shard<'a> {
         }
         f.remaining -= 1;
         if f.remaining > 0 {
-            // Round-robin across the host's live flows.
             sc.active[h as usize].push_back(f);
+        } else if sc.active[h as usize].is_empty() {
+            sc.queued[h as usize / 64] &= !(1 << (h % 64));
         }
     }
 
@@ -1562,8 +1630,11 @@ impl<'a> Shard<'a> {
     /// patterns stay in lock step), but an explicit flow registers only
     /// at its source host's owning shard.
     pub(crate) fn apply_pending_scenario(&mut self) {
-        let Some(mut sc) = self.scenario.take() else { return };
         let now = u64::from(self.cycle);
+        if self.scenario.as_ref().is_none_or(|sc| sc.next_start() > now) {
+            return;
+        }
+        let Some(mut sc) = self.scenario.take() else { return };
         let phases = sc.plan.phases();
         while sc.next_phase < phases.len() && phases[sc.next_phase].start <= now {
             let phase = phases[sc.next_phase];
@@ -1610,16 +1681,39 @@ impl<'a> Shard<'a> {
             }
             let uid = (u64::from(f.src) << 32) | sc.arrivals[f.src as usize];
             sc.arrivals[f.src as usize] += 1;
-            sc.active[f.src as usize].push_back(ActiveFlow {
+            let flow = ActiveFlow {
                 uid,
                 dst: f.dst,
                 size: f.packets,
                 remaining: f.packets,
                 arrival: self.cycle,
-            });
+            };
+            enqueue_flow(&mut sc.active, &mut sc.queued, f.src, flow);
             sc.flows_generated += 1;
         }
         self.scenario = Some(sc);
+    }
+
+    /// The first cycle at or after `now` at which this shard can do
+    /// anything observable: `now` itself unless the shard is quiescent,
+    /// otherwise its next phase start, explicit-flow start or fault
+    /// event (`u32::MAX` when none is left). Quiescent means no packet
+    /// is live (queued, buffered or on a wire), no credit is in flight,
+    /// no flow waits at a NIC, and the scenario is idle: steady and
+    /// flows phases draw every host's RNG each cycle, and so does a run
+    /// without a scenario, so those never are.
+    pub(crate) fn quiet_until(&self, now: u32) -> u32 {
+        let Some(sc) = &self.scenario else { return now };
+        if self.arena.live() != 0
+            || !matches!(sc.mode, ScenarioMode::Idle)
+            || sc.queued.iter().any(|&w| w != 0)
+            || self.cred.iter().any(|slot| !slot.is_empty())
+        {
+            return now;
+        }
+        let fault = self.fault_plan.and_then(|p| p.events().get(self.next_fault));
+        let next = sc.next_start().min(fault.map_or(u64::MAX, |e| e.time));
+        next.clamp(u64::from(now), u64::from(u32::MAX)) as u32
     }
 
     /// Builds the request for a head packet at router `r`, or `None` if it
@@ -2832,6 +2926,27 @@ mod tests {
             let _ = sim.run();
             let after = jellyfish_obs::global().counter("flitsim.audit.cycles").unwrap_or(0);
             assert!(after >= before + 5000, "cycles counter: {before} -> {after}");
+
+            // An audited scenario checks every cycle of its idle
+            // stretches: it skips none, so the counter stays honest.
+            let empty = ScenarioPlan::new(1);
+            let mut idle = Simulator::new(
+                &g,
+                p,
+                &t,
+                None,
+                Mechanism::Random,
+                uniform(&p),
+                0.0,
+                SimConfig::paper(),
+            )
+            .with_scenario(&empty)
+            .with_auditor(AuditConfig::default());
+            let _ = idle.run();
+            assert_eq!(idle.skipped_cycles(), 0);
+            let idle_after = jellyfish_obs::global().counter("flitsim.audit.cycles").unwrap_or(0);
+            let total = u64::from(SimConfig::paper().total_cycles());
+            assert!(idle_after >= after + total, "cycles counter: {after} -> {idle_after}");
         }
     }
 }

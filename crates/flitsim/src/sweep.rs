@@ -64,9 +64,7 @@ pub fn run_at(cfg: &SweepConfig<'_>, pattern: &PacketDestinations, rate: f64) ->
     if let Some(plan) = cfg.faults {
         sim = sim.with_fault_plan(plan);
     }
-    let result = sim.run();
-    jellyfish_obs::global().counter_add("flitsim.cycles.measured", result.measured_cycles);
-    result
+    sim.run()
 }
 
 /// Finds the saturation throughput: the largest injection rate (at
