@@ -1,6 +1,5 @@
 //! Event queue primitives and the trace-simulator routing mechanisms.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -8,7 +7,7 @@ use std::collections::BinaryHeap;
 pub type Ps = u64;
 
 /// Routing mechanisms the paper added to CODES.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppMechanism {
     /// Uniformly random path per packet.
     Random,

@@ -12,11 +12,10 @@ use jellyfish_topology::{Graph, NodeId, RrgParams};
 use jellyfish_traffic::{ScenarioPlan, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Trace-simulator settings (paper Section IV-A, CODES paragraph).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppSimConfig {
     /// Packet size in bytes (paper: 1500).
     pub packet_bytes: u32,
@@ -48,7 +47,7 @@ impl Default for AppSimConfig {
 }
 
 /// Result of one trace simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppSimResult {
     /// Makespan: when the last packet was delivered, in seconds.
     pub completion_time_s: f64,

@@ -244,23 +244,3 @@ pub fn ablation_flits(scale: Scale, seed: u64) {
     println!("rate (sat x flits) stays roughly constant — the channels, not the");
     println!("routing, are the binding resource.");
 }
-
-/// Sanity check used by the topology-sampling ablation and tests.
-pub fn bisection_fraction(params: RrgParams, seed: u64) -> f64 {
-    let net = JellyfishNetwork::build(params, seed).expect("topology builds");
-    let est = estimate_bisection(net.graph(), 5, seed);
-    est.min_cut_edges as f64 / net.graph().num_edges() as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rrg_bisection_fraction_is_high() {
-        // Jellyfish's motivation: RRG bisection is a large fraction of
-        // edges for both construction methods.
-        let f = bisection_fraction(RrgParams::new(24, 12, 8), 3);
-        assert!(f > 0.2, "bisection fraction {f}");
-    }
-}

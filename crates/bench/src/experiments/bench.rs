@@ -331,19 +331,19 @@ fn sim_workload(name: &'static str, scale: Scale) -> Workload {
     }
 }
 
-/// The simulator at one shard per available core on the exact
-/// `sim_cycles` instance, so the two baselines are directly comparable:
-/// the speedup target is
+/// The simulator at a fixed two shards on the exact `sim_cycles`
+/// instance, so the two baselines are directly comparable: the sharding
+/// overhead (or gain) is
 /// `sim_cycles_parallel.cycles_per_sec / sim_cycles.cycles_per_sec`.
-/// Thread count is the machine's available parallelism capped at 8 (the
-/// ISSUE's speedup target point) and recorded in the `threads` gauge —
-/// regression comparisons are only meaningful on matching hardware.
+/// The shard count is a constant, not the host's core count, so every
+/// host measures the same workload; it is recorded in the `threads`
+/// gauge.
 fn sim_parallel_workload(scale: Scale) -> Workload {
     let (params, seed) = suite_params();
     let mut state: Option<(JellyfishNetwork, PathTable)> = None;
     let cfg = scale.sim_config();
     let total_cycles = cfg.total_cycles();
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get).min(8);
+    let threads = 2;
     Workload {
         name: "sim_cycles_parallel",
         params: format!(

@@ -3,9 +3,9 @@
 //!
 //! `jellytool repro <experiment>` (`cargo run --release -p jellyfish-bench
 //! --bin jellytool -- repro <experiment>`) regenerates the paper's evaluation artifacts;
-//! the Criterion benches under `benches/` measure the performance of the
-//! library itself (path computation and simulator throughput) plus the
-//! ablations called out in DESIGN.md.
+//! `jellytool bench` ([`experiments::bench`]) times the library itself
+//! (path computation, caching, simulator throughput, the path daemon)
+//! against committed baselines.
 //!
 //! Experiments run at two scales:
 //!

@@ -4,8 +4,9 @@
 //! a usage error, not a silent empty sweep), flag values that do not
 //! parse and stray words after switches (usage errors, never a silent
 //! default), the generated help, a quiet exit when stdout's reader has
-//! gone, and the `bench` regression gate's exit codes against doctored
-//! baselines.
+//! gone, the `bench` regression gate's exit codes against doctored
+//! baselines, and (under `--features audit`) the audit counters in an
+//! audited run's `--metrics` file.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -274,5 +275,47 @@ fn stats_trace_flag_writes_chrome_json() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("wrote trace to"), "{stderr}");
     assert!(stderr.contains("self-time sum"), "flame summary on stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// An audited scenario run's `--metrics` file carries the auditor's
+/// counters: they are reported through the always-on registry, so they
+/// need no feature beyond `audit`.
+#[cfg(feature = "audit")]
+#[test]
+fn audited_scenario_metrics_count_audited_cycles() {
+    let out_dir = temp_dir("audit-metrics");
+    let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/bursts_v1.txt");
+    let metrics = out_dir.join("m.txt");
+    let report = out_dir.join("r.json");
+    let out = jellytool(&[
+        "scenario",
+        "--switches",
+        "24",
+        "--ports",
+        "8",
+        "--net-ports",
+        "5",
+        "--k",
+        "4",
+        "--plan",
+        plan,
+        "--rate-min",
+        "1",
+        "--rate-max",
+        "1",
+        "--audit",
+        "--out",
+        report.to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    let cycles = text
+        .lines()
+        .find_map(|l| l.strip_prefix("counter flitsim.audit.cycles "))
+        .unwrap_or_else(|| panic!("no flitsim.audit.cycles counter in:\n{text}"));
+    assert!(cycles.parse::<u64>().unwrap() > 0, "audited cycles: {cycles}");
     let _ = std::fs::remove_dir_all(&out_dir);
 }

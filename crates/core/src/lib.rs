@@ -87,12 +87,6 @@ impl JellyfishNetwork {
         Ok(Self { params, graph })
     }
 
-    /// Wraps an existing switch graph (must match `params.switches`).
-    pub fn from_graph(params: RrgParams, graph: Graph) -> Self {
-        assert_eq!(graph.num_nodes(), params.switches, "graph/params mismatch");
-        Self { params, graph }
-    }
-
     /// Topology parameters.
     pub fn params(&self) -> &RrgParams {
         &self.params
@@ -270,12 +264,5 @@ mod tests {
         let r =
             net.simulate_trace(&table, AppMechanism::KspAdaptive, &trace, AppSimConfig::paper());
         assert_eq!(r.delivered_packets, r.total_packets);
-    }
-
-    #[test]
-    #[should_panic(expected = "graph/params mismatch")]
-    fn from_graph_validates() {
-        let g = jellyfish_topology::Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        JellyfishNetwork::from_graph(RrgParams::new(4, 4, 2), g);
     }
 }

@@ -34,8 +34,8 @@
 //! flight recorder — a ring buffer of the most recent grants, drops,
 //! reroutes, and fault applications — instead of a bare assert.
 
+use jellyfish_obs::Ring;
 use jellyfish_topology::NodeId;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -49,7 +49,7 @@ pub struct AuditConfig {
     /// plus serialization is tens of cycles).
     pub watchdog_cycles: u32,
     /// Number of recent events the flight recorder keeps for the
-    /// violation dump.
+    /// violation dump (≥ 1).
     pub ring_capacity: usize,
 }
 
@@ -203,7 +203,7 @@ impl fmt::Display for Violation {
 #[derive(Debug, Clone)]
 pub struct Auditor {
     cfg: AuditConfig,
-    ring: VecDeque<AuditEvent>,
+    ring: Ring<AuditEvent>,
     /// Last cycle with a grant, ejection, or drop (watchdog anchor).
     last_progress: u32,
     /// Scratch: packets on the wire per `(link, vc)` queue.
@@ -222,7 +222,7 @@ impl Auditor {
         assert!(cfg.watchdog_cycles >= 1, "watchdog must be >= 1 cycle");
         Self {
             cfg,
-            ring: VecDeque::with_capacity(cfg.ring_capacity),
+            ring: Ring::new(cfg.ring_capacity, cfg.ring_capacity),
             last_progress: 0,
             chan_in_flight: Vec::new(),
             cred_pending: Vec::new(),
@@ -261,10 +261,7 @@ impl Auditor {
             | AuditEvent::Drop { cycle, .. } => self.last_progress = cycle,
             AuditEvent::Inject { .. } | AuditEvent::Reroute { .. } | AuditEvent::Fault { .. } => {}
         }
-        if self.ring.len() == self.cfg.ring_capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ev);
+        self.ring.push(ev);
         self.events_recorded += 1;
     }
 
@@ -293,7 +290,7 @@ impl Auditor {
     /// Drains the flight-recorder ring, oldest first (used when merging
     /// per-shard recorders into a global cycle-ordered ring).
     pub(crate) fn drain_ring(&mut self) -> Vec<AuditEvent> {
-        self.ring.drain(..).collect()
+        self.ring.drain().collect()
     }
 
     /// Resizes and zeroes the per-queue scratch tallies.
@@ -313,7 +310,7 @@ impl Auditor {
     ) -> Violation {
         use std::fmt::Write as _;
         let mut trace = String::new();
-        for ev in &self.ring {
+        for ev in self.ring.iter() {
             writeln!(trace, "  {ev}").expect("write to String");
         }
         Violation { invariant, cycle, detail, trace }

@@ -1,10 +1,8 @@
 //! Simulator configuration (paper Section IV-A, "Simulator modification
 //! and settings").
 
-use serde::{Deserialize, Serialize};
-
 /// How hosts generate packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InjectionProcess {
     /// Independent Bernoulli trial per host per cycle (Booksim's
     /// default and the paper's setting).
@@ -17,7 +15,7 @@ pub enum InjectionProcess {
 }
 
 /// Form of the adaptive mechanisms' path-latency estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EstimateForm {
     /// `queue(first hop) + (channel latency + 1) * hops` — a physical
     /// latency estimate: serialization wait behind queued packets plus
@@ -35,7 +33,7 @@ pub enum EstimateForm {
 
 /// Knobs of the cycle-level simulator. [`SimConfig::paper`] reproduces the
 /// settings of the paper's Booksim runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Channel traversal latency in cycles (paper: 10).
     pub channel_latency: u32,

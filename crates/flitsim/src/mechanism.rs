@@ -18,10 +18,8 @@
 //! candidate's first-hop output (downstream buffer fill, derived from
 //! credits) multiplied by the path hop count.
 
-use serde::{Deserialize, Serialize};
-
 /// Which routing mechanism chooses a packet's path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
     /// Always route on the first (shortest) path.
     SinglePath,
@@ -50,28 +48,10 @@ impl Mechanism {
         }
     }
 
-    /// Whether the mechanism consults network state (adaptive) or not
-    /// (oblivious).
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, Mechanism::VanillaUgal | Mechanism::KspUgal | Mechanism::KspAdaptive)
-    }
-
     /// Whether valiant (intermediate-switch) paths are used, requiring an
     /// all-pairs shortest-path table.
     pub fn needs_sp_table(&self) -> bool {
         matches!(self, Mechanism::VanillaUgal)
-    }
-
-    /// The five multi-path mechanisms evaluated in the paper's Figures
-    /// 7–10, in display order.
-    pub fn figure_set() -> [Mechanism; 5] {
-        [
-            Mechanism::Random,
-            Mechanism::RoundRobin,
-            Mechanism::VanillaUgal,
-            Mechanism::KspUgal,
-            Mechanism::KspAdaptive,
-        ]
     }
 }
 
@@ -82,10 +62,7 @@ mod tests {
     #[test]
     fn names_and_classes() {
         assert_eq!(Mechanism::KspAdaptive.name(), "KSP-adaptive");
-        assert!(Mechanism::KspAdaptive.is_adaptive());
-        assert!(!Mechanism::Random.is_adaptive());
         assert!(Mechanism::VanillaUgal.needs_sp_table());
         assert!(!Mechanism::KspUgal.needs_sp_table());
-        assert_eq!(Mechanism::figure_set().len(), 5);
     }
 }

@@ -646,7 +646,7 @@ impl<'a> Simulator<'a> {
             || sample_latencies
                 .iter()
                 .any(|m| m.is_nan() && stalled || *m > cfg.saturation_latency);
-        #[cfg(all(feature = "audit", feature = "obs"))]
+        #[cfg(feature = "audit")]
         if let Some(aud) = &self.auditor {
             let _span = jellyfish_obs::span("flitsim.audit.report");
             let events: u64 =

@@ -2906,7 +2906,6 @@ mod tests {
             assert!(msg.contains("1 FCT sample(s) recorded for 0 completed flow(s)"), "{msg}");
         }
 
-        #[cfg(feature = "obs")]
         #[test]
         fn audited_run_reports_obs_counters() {
             let (g, p) = setup();

@@ -16,12 +16,11 @@
 //! `measured_cycles` scalar and the latency percentile block
 //! (`p50_latency` .. `p999_latency`); v1 files are no longer read.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 /// Outcome of one simulation run at a fixed offered load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Offered load in packets/node/cycle.
     pub offered: f64,
@@ -306,11 +305,6 @@ impl SampleAccumulator {
     /// this covers every recorded packet.
     pub fn total_ejected(&self) -> u64 {
         self.windows.iter().map(|&(_, c)| c).sum()
-    }
-
-    /// True when packets were recorded since the last window close.
-    pub fn has_open_records(&self) -> bool {
-        self.window_count > 0
     }
 
     /// Mean latency across all recorded packets (closed or not).

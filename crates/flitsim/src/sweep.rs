@@ -13,7 +13,6 @@ use jellyfish_routing::PathTable;
 use jellyfish_topology::{FaultPlan, Graph, RrgParams};
 use jellyfish_traffic::PacketDestinations;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Everything needed to run the simulator at one offered load.
 #[derive(Clone, Copy)]
@@ -39,7 +38,7 @@ pub struct SweepConfig<'a> {
 }
 
 /// One point of a latency/load curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadPoint {
     /// Offered load (packets/node/cycle).
     pub offered: f64,
@@ -130,19 +129,6 @@ pub fn saturation_search(
     lo as f64 * resolution
 }
 
-/// Average saturation throughput over several traffic instances
-/// (the paper averages 10 random permutations / shifts). The instance
-/// patterns are provided by `patterns`; runs fan out in parallel.
-pub fn mean_saturation_throughput(
-    cfg: &SweepConfig<'_>,
-    patterns: &[PacketDestinations],
-    resolution: f64,
-) -> f64 {
-    assert!(!patterns.is_empty());
-    let sum: f64 = patterns.par_iter().map(|p| saturation_throughput(cfg, p, resolution)).sum();
-    sum / patterns.len() as f64
-}
-
 /// Latency vs. offered-load curve at the given rates (parallel).
 pub fn latency_curve(
     cfg: &SweepConfig<'_>,
@@ -214,28 +200,6 @@ mod tests {
         let b = run_at(&cfg, &pattern, 0.2);
         assert_eq!(a, b);
         assert_eq!(a.offered, 0.2);
-    }
-
-    #[test]
-    fn mean_saturation_averages_instances() {
-        let (g, p) = setup();
-        let table = table(p, PathSelection::REdKsp(4));
-        let cfg = SweepConfig {
-            graph: &g,
-            params: p,
-            table: &table,
-            sp_table: None,
-            mechanism: Mechanism::Random,
-            faults: None,
-            sim: SimConfig::paper(),
-            threads: 0,
-        };
-        let u = PacketDestinations::Uniform { num_hosts: p.num_hosts() };
-        let patterns = vec![u.clone(), u.clone()];
-        let mean = mean_saturation_throughput(&cfg, &patterns, 0.1);
-        let single = saturation_throughput(&cfg, &u, 0.1);
-        // Identical instances -> mean equals the single search.
-        assert!((mean - single).abs() < 1e-12);
     }
 
     #[test]

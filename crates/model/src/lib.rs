@@ -25,7 +25,6 @@
 use jellyfish_routing::PathTable;
 use jellyfish_topology::{Graph, RrgParams};
 use jellyfish_traffic::Flow;
-use serde::{Deserialize, Serialize};
 
 /// Per-pattern throughput results.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// of a sending node's flow rates, averaged over sending nodes (value 1 =
 /// the node drives its injection link at full speed). Per-flow statistics
 /// are also provided.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputReport {
     /// Number of flows evaluated.
     pub flows: usize,

@@ -30,10 +30,11 @@
 //! Only the long-poll *timeout* consults the wall clock, and a timeout
 //! never changes stream content.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+
+use crate::Ring;
 
 /// First line of the text rendering.
 pub const EVENTS_HEADER: &str = "jellyfish-events v1";
@@ -211,11 +212,9 @@ pub struct Drain {
 }
 
 struct Inner {
-    buf: VecDeque<Event>,
-    capacity: usize,
+    ring: Ring<Event>,
     /// Sequence number the next published event receives (starts at 1).
     next_seq: u64,
-    dropped: u64,
 }
 
 /// A bounded, totally ordered event ring with long-poll support.
@@ -243,14 +242,8 @@ impl Journal {
 
     /// A journal holding at most `capacity` events (≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "journal capacity must be at least 1");
         Self {
-            inner: Mutex::new(Inner {
-                buf: VecDeque::with_capacity(capacity.min(1024)),
-                capacity,
-                next_seq: 1,
-                dropped: 0,
-            }),
+            inner: Mutex::new(Inner { ring: Ring::new(capacity, 1024), next_seq: 1 }),
             cond: Condvar::new(),
         }
     }
@@ -270,12 +263,9 @@ impl Journal {
             let mut inner = self.lock();
             let seq = inner.next_seq;
             inner.next_seq += 1;
-            if inner.buf.len() == inner.capacity {
-                inner.buf.pop_front();
-                inner.dropped += 1;
+            if inner.ring.push(Event { seq, time, kind }) {
                 crate::global().counter_add("obs.journal.dropped", 1);
             }
-            inner.buf.push_back(Event { seq, time, kind });
             seq
         };
         self.cond.notify_all();
@@ -284,11 +274,11 @@ impl Journal {
 
     fn drain_locked(inner: &Inner, since: u64) -> Drain {
         let last_seq = inner.next_seq - 1;
-        let oldest = inner.next_seq - inner.buf.len() as u64;
+        let oldest = inner.next_seq - inner.ring.len() as u64;
         // Events in (since, oldest) existed but were evicted.
         let missed = oldest.saturating_sub(since + 1).min(last_seq.saturating_sub(since));
-        let start = (since + 1).saturating_sub(oldest).min(inner.buf.len() as u64) as usize;
-        let events = inner.buf.iter().skip(start).cloned().collect();
+        let start = (since + 1).saturating_sub(oldest).min(inner.ring.len() as u64) as usize;
+        let events = inner.ring.iter().skip(start).cloned().collect();
         Drain { events, missed, last_seq }
     }
 
@@ -327,7 +317,7 @@ impl Journal {
 
     /// Events this journal evicted due to overflow.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.lock().ring.dropped()
     }
 }
 

@@ -18,6 +18,8 @@
 //! * [`trace`] — hierarchical tracing: thread-local span stacks feeding
 //!   bounded per-thread rings, exported as Chrome Trace Event Format
 //!   JSON or a text flame summary with self-time attribution;
+//! * [`Ring`] — the bounded drop-oldest ring behind the trace rings,
+//!   the event journal and the simulator's audit flight recorder;
 //! * [`json`] — a strict, minimal JSON reader (bench baselines for the
 //!   regression gate, trace files in tests);
 //! * `jellyfish-metrics v1` — a line-oriented text format
@@ -35,11 +37,13 @@ mod hist;
 pub mod journal;
 pub mod json;
 mod registry;
+mod ring;
 mod serialize;
 pub mod trace;
 
 pub use hist::LogHistogram;
 pub use registry::{global, span, take_global, Registry, Span};
+pub use ring::Ring;
 pub use serialize::{
     hist_to_json, metrics_to_json, read_metrics, write_metrics, MetricsReadError, METRICS_HEADER,
 };

@@ -25,11 +25,12 @@
 //! fractional microseconds with three decimals, so nothing is lost.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::Ring;
 
 /// Tracing settings, applied by [`enable`].
 #[derive(Debug, Clone, Copy)]
@@ -85,25 +86,9 @@ pub struct Record {
     pub kind: RecordKind,
 }
 
-struct Ring {
-    buf: VecDeque<Record>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Ring {
-    fn push(&mut self, rec: Record) {
-        if self.buf.len() >= self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(rec);
-    }
-}
-
 struct ThreadHandle {
     tid: u32,
-    ring: Arc<Mutex<Ring>>,
+    ring: Arc<Mutex<Ring<Record>>>,
 }
 
 struct TraceState {
@@ -143,7 +128,7 @@ pub fn dropped_so_far() -> u64 {
     let mut total = st.dropped_folded.load(Ordering::Relaxed);
     let threads = st.threads.lock().unwrap_or_else(|p| p.into_inner());
     for handle in threads.iter() {
-        total += handle.ring.lock().unwrap_or_else(|p| p.into_inner()).dropped;
+        total += handle.ring.lock().unwrap_or_else(|p| p.into_inner()).dropped();
     }
     total
 }
@@ -157,7 +142,7 @@ struct Frame {
 
 struct ThreadCtx {
     stack: Vec<Frame>,
-    ring: Arc<Mutex<Ring>>,
+    ring: Arc<Mutex<Ring<Record>>>,
 }
 
 thread_local! {
@@ -170,11 +155,7 @@ fn with_ctx<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> R {
         let ctx = slot.get_or_insert_with(|| {
             let st = state();
             let tid = st.next_tid.fetch_add(1, Ordering::Relaxed);
-            let ring = Arc::new(Mutex::new(Ring {
-                buf: VecDeque::new(),
-                capacity: st.capacity.load(Ordering::Relaxed),
-                dropped: 0,
-            }));
+            let ring = Arc::new(Mutex::new(Ring::new(st.capacity.load(Ordering::Relaxed), 0)));
             st.threads
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
@@ -340,9 +321,8 @@ pub fn take() -> Trace {
     let mut out = Trace::default();
     for handle in threads.iter() {
         let mut ring = handle.ring.lock().unwrap_or_else(|p| p.into_inner());
-        let records: Vec<Record> = ring.buf.drain(..).collect();
-        out.dropped += ring.dropped;
-        ring.dropped = 0;
+        let records: Vec<Record> = ring.drain().collect();
+        out.dropped += ring.take_dropped();
         if !records.is_empty() {
             out.threads.push(ThreadTrace { tid: handle.tid, records });
         }

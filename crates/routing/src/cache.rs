@@ -978,11 +978,6 @@ pub fn install_global(cache: PathCache) {
     *global_slot().write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(cache));
 }
 
-/// Removes the process-wide cache; subsequent computations run uncached.
-pub fn uninstall_global() {
-    *global_slot().write().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
 /// The currently installed process-wide cache, if any. Recovers from a
 /// poisoned slot: the stored value is only ever replaced wholesale, so
 /// a panicking writer cannot leave it half-updated.
@@ -1399,10 +1394,8 @@ mod tests {
         install_global(PathCache::new(&dir).unwrap());
         let cold = load_or_compute_global(&g, sel, &pairs, 11);
         let warm = load_or_compute_global(&g, sel, &pairs, 11);
-        uninstall_global();
         assert_eq!(uncached, cold);
         assert_eq!(uncached, warm);
-        assert!(global_cache().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,10 +18,9 @@ use crate::bfs::TieBreak;
 use crate::workspace::DijkstraWorkspace;
 use crate::yen::k_shortest_paths_with;
 use jellyfish_topology::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for LLSKR path selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlskrConfig {
     /// Accept paths up to `shortest + spread` hops long.
     pub spread: u32,

@@ -11,10 +11,9 @@
 
 use crate::table::PathTable;
 use jellyfish_topology::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated path-quality statistics for a path table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathProperties {
     /// Number of (ordered) pairs measured.
     pub pairs: usize,

@@ -17,14 +17,13 @@ use jellyfish_topology::{DegradedGraph, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A single path as a node sequence `[src, ..., dst]`.
 pub type Path = Vec<NodeId>;
 
 /// Path-selection scheme (paper Section III-A plus baselines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathSelection {
     /// Single shortest path (the paper's `SP` baseline).
     SinglePath,
@@ -169,12 +168,12 @@ impl PairSet {
 /// the flat layout (they hand out borrowed slices, which a compressed
 /// stream cannot back) and panic on compact sets — decompress the table
 /// before handing it to a simulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PathSet {
     repr: Repr,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Repr {
     Flat {
         nodes: Vec<NodeId>,
@@ -1211,12 +1210,6 @@ impl FaultReport {
     pub fn affected_pairs(&self) -> Vec<(NodeId, NodeId)> {
         self.affected.iter().map(|p| (p.src, p.dst)).collect()
     }
-
-    /// Fewest surviving paths over all affected pairs (`None` if nothing
-    /// was affected).
-    pub fn min_surviving(&self) -> Option<usize> {
-        self.affected.iter().map(|p| p.paths_after).min()
-    }
 }
 
 #[cfg(test)]
@@ -1423,7 +1416,6 @@ mod tests {
         let report = t.apply_faults(&view);
         assert!(report.affected.is_empty());
         assert_eq!(report.paths_removed, 0);
-        assert_eq!(report.min_surviving(), None);
     }
 
     #[test]

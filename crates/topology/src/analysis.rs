@@ -11,10 +11,9 @@ use crate::metrics::bfs_distances;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Estimated bisection bandwidth statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BisectionEstimate {
     /// Minimum crossing-edge count over the sampled balanced bisections —
     /// an *upper bound* on the true bisection width.
@@ -101,7 +100,7 @@ fn refine_bisection(graph: &Graph, side: &mut [bool]) -> usize {
 }
 
 /// Distribution of shortest-path hop counts over ordered pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceHistogram {
     /// `counts[d]` = ordered pairs at distance `d` (index 0 unused).
     pub counts: Vec<u64>,

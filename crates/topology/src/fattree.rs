@@ -19,10 +19,9 @@
 //! order, compatible with [`crate::RrgParams`]-style host mapping helpers.
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a 3-level k-ary fat-tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FatTreeParams {
     /// Switch radix `k` (must be even, >= 2).
     pub k: usize,

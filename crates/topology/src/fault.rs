@@ -4,7 +4,7 @@
 //! failures: each [`FaultEvent`] removes an undirected link or an entire
 //! switch (all its incident links) at a given simulation cycle. Plans are
 //! either hand-built or drawn reproducibly from a seed with
-//! [`FaultPlan::random_links`] / [`FaultPlan::random_switches`], so a
+//! [`FaultPlan::random_links`], so a
 //! degraded experiment is fully determined by `(topology seed, fault
 //! seed)`.
 //!
@@ -30,12 +30,11 @@ use crate::graph::{Graph, GraphBuilder, LinkId, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 /// What fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The undirected link `{u, v}` fails (both directed links die).
     Link {
@@ -52,7 +51,7 @@ pub enum FaultKind {
 }
 
 /// One failure at a point in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Cycle at which the failure takes effect (`0` = before the run
     /// starts, i.e. a statically degraded fabric).
@@ -62,7 +61,7 @@ pub struct FaultEvent {
 }
 
 /// A seeded, serializable schedule of failures, sorted by time.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Seed the plan was drawn from (`0` for hand-built plans; recorded
     /// for provenance in result files).
@@ -116,31 +115,9 @@ impl FaultPlan {
         plan
     }
 
-    /// Draws a plan failing a `rate` fraction of the switches (rounded to
-    /// the nearest count), all at cycle `time`.
-    pub fn random_switches(graph: &Graph, rate: f64, time: u64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "failure rate {rate} outside [0, 1]");
-        let mut nodes: Vec<NodeId> = (0..graph.num_nodes() as NodeId).collect();
-        let count = (rate * nodes.len() as f64).round() as usize;
-        let mut rng = StdRng::seed_from_u64(seed);
-        nodes.shuffle(&mut rng);
-        let mut plan = Self { seed, events: Vec::with_capacity(count) };
-        for &n in &nodes[..count] {
-            plan.add_switch_failure(time, n);
-        }
-        plan
-    }
-
     /// All events, sorted ascending by time.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// Events taking effect at exactly cycle `time`.
-    pub fn events_at(&self, time: u64) -> &[FaultEvent] {
-        let lo = self.events.partition_point(|e| e.time < time);
-        let hi = self.events.partition_point(|e| e.time <= time);
-        &self.events[lo..hi]
     }
 
     /// Number of scheduled events.
@@ -151,11 +128,6 @@ impl FaultPlan {
     /// Whether the plan schedules no failures.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Time of the earliest event, if any.
-    pub fn first_time(&self) -> Option<u64> {
-        self.events.first().map(|e| e.time)
     }
 }
 
@@ -279,31 +251,6 @@ impl<'g> DegradedGraph<'g> {
     pub fn path_is_live(&self, path: &[NodeId]) -> bool {
         path.windows(2)
             .all(|w| self.graph.link_id(w[0], w[1]).is_some_and(|l| self.link_live[l as usize]))
-    }
-
-    /// Whether the live portion of the fabric is still one connected
-    /// component (failed switches are ignored; trivially true if no node
-    /// is live).
-    pub fn live_is_connected(&self) -> bool {
-        let n = self.graph.num_nodes();
-        let Some(start) = (0..n as NodeId).find(|&u| self.node_live[u as usize]) else {
-            return true;
-        };
-        let mut seen = vec![false; n];
-        let mut stack = vec![start];
-        seen[start as usize] = true;
-        let mut count = 1usize;
-        while let Some(u) = stack.pop() {
-            let base = self.graph.out_links(u).start;
-            for (i, &v) in self.graph.neighbors(u).iter().enumerate() {
-                if self.link_live[(base + i as u32) as usize] && !seen[v as usize] {
-                    seen[v as usize] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        count == self.node_live.iter().filter(|&&l| l).count()
     }
 
     /// Builds a standalone [`Graph`] of the surviving fabric.
@@ -446,9 +393,6 @@ mod tests {
         plan.add_link_failure(20, 0, 1);
         let times: Vec<u64> = plan.events().iter().map(|e| e.time).collect();
         assert_eq!(times, vec![10, 20, 30]);
-        assert_eq!(plan.first_time(), Some(10));
-        assert_eq!(plan.events_at(20).len(), 1);
-        assert!(plan.events_at(25).is_empty());
     }
 
     #[test]
@@ -526,25 +470,6 @@ mod tests {
             let l = g.link_id(u, v).unwrap();
             assert!(view.link_is_live(l));
         }
-    }
-
-    #[test]
-    fn live_connectivity_detects_partition() {
-        let g = graph();
-        let full = DegradedGraph::new(&g);
-        assert!(full.live_is_connected());
-        // Isolate node 0 by failing all its links: the live component of
-        // the rest may still be connected, but node 0 is not reachable.
-        let mut view = DegradedGraph::new(&g);
-        let neighbors: Vec<NodeId> = g.neighbors(0).to_vec();
-        for v in neighbors {
-            view.fail_link(0, v);
-        }
-        assert!(!view.live_is_connected());
-        // Marking the isolated switch as failed excludes it from the
-        // requirement.
-        view.fail_switch(0);
-        assert!(view.live_is_connected());
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! CSR layout where the directed link `u -> v` is identified by the position
 //! of `v` inside `u`'s (sorted) adjacency slice.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a switch (graph vertex).
 pub type NodeId = u32;
 
@@ -22,7 +20,7 @@ pub type LinkId = u32;
 /// Adjacency lists are sorted by neighbor id, which makes link lookup a
 /// binary search and makes the deterministic variants of the routing
 /// algorithms reproducible across runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<u32>,
     neighbors: Vec<NodeId>,
@@ -113,17 +111,6 @@ impl Graph {
         let u = self.link_src(link);
         let v = self.link_dst(link);
         self.link_id(v, u).expect("undirected graph must contain the reverse link")
-    }
-
-    /// Converts a node path `[a, b, c, ...]` into its directed link ids.
-    ///
-    /// Returns `None` if any consecutive pair is not an edge.
-    pub fn path_links(&self, path: &[NodeId]) -> Option<Vec<LinkId>> {
-        let mut links = Vec::with_capacity(path.len().saturating_sub(1));
-        for w in path.windows(2) {
-            links.push(self.link_id(w[0], w[1])?);
-        }
-        Some(links)
     }
 
     /// Checks that every node has degree exactly `d`.
@@ -289,16 +276,6 @@ mod tests {
         assert_eq!(g.link_id(0, 2), None);
         assert!(!g.has_edge(1, 3));
         assert!(!g.is_connected());
-    }
-
-    #[test]
-    fn path_links_follow_edges() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let links = g.path_links(&[0, 1, 2, 3]).unwrap();
-        assert_eq!(links.len(), 3);
-        assert_eq!(g.link_src(links[0]), 0);
-        assert_eq!(g.link_dst(links[2]), 3);
-        assert!(g.path_links(&[0, 2]).is_none());
     }
 
     #[test]

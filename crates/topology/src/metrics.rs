@@ -5,7 +5,6 @@
 
 use crate::graph::{Graph, NodeId};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Distance not reachable marker used by the BFS kernels.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -30,7 +29,7 @@ pub fn bfs_distances(graph: &Graph, src: NodeId) -> Vec<u32> {
 }
 
 /// Summary statistics of a topology (Table I columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologyStats {
     /// Number of switches.
     pub switches: usize,

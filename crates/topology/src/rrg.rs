@@ -18,10 +18,9 @@ use crate::graph::{Graph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a Jellyfish topology `RRG(N, x, y)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RrgParams {
     /// Number of switches (`N`).
     pub switches: usize,
@@ -103,7 +102,7 @@ impl RrgParams {
 }
 
 /// How to sample the random regular graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConstructionMethod {
     /// Jellyfish incremental construction with edge-swap repair.
     #[default]

@@ -16,10 +16,9 @@
 
 use crate::mapping::Mapping;
 use crate::trace::{FlowSpec, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Which collective to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Collective {
     /// Ring all-reduce: reduce-scatter + all-gather, `2(n-1)` phases.
     RingAllReduce,

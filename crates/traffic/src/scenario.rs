@@ -46,12 +46,11 @@ use crate::pattern::{random_permutation, PacketDestinations};
 use crate::trace::{FlowSpec, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 /// Bounded-Pareto flow-size distribution, in packets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSize {
     /// Smallest flow, in packets (`L` of the bounded Pareto).
     pub min: u32,
@@ -109,7 +108,7 @@ impl FlowSize {
 }
 
 /// Which side of a hotspot is skewed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HotspotKind {
     /// Destination skew: a `fraction` of all flows target the hot set
     /// (many-to-few congestion at the receivers).
@@ -120,7 +119,7 @@ pub enum HotspotKind {
 }
 
 /// A traffic matrix: who talks to whom.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Matrix {
     /// Uniform random destinations (excluding self).
     Uniform,
@@ -253,7 +252,7 @@ pub fn arrival_rates(arrival: f64, matrix: &Matrix, num_hosts: usize) -> Vec<f64
 }
 
 /// The traffic regime of one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseTraffic {
     /// No injection.
     Idle,
@@ -312,7 +311,7 @@ impl PhaseTraffic {
 }
 
 /// One traffic-regime switch at a point in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Cycle at which the regime takes effect (`0` = from the start).
     pub start: u64,
@@ -321,7 +320,7 @@ pub struct Phase {
 }
 
 /// One explicitly scheduled flow (a pre-materialized trace entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioFlow {
     /// Cycle the flow arrives at its source NIC.
     pub start: u64,
@@ -335,7 +334,7 @@ pub struct ScenarioFlow {
 
 /// A seeded, serializable schedule of traffic phases and explicit
 /// flows, each list sorted by start cycle.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioPlan {
     /// Seed for provenance (carried into per-flow RNG streams by the
     /// simulator configuration, not consumed here).

@@ -6,10 +6,8 @@
 //! same neighbor count — matching the paper's accounting ("in 2DNN, each
 //! process sends to 4 neighbors").
 
-use serde::{Deserialize, Serialize};
-
 /// Which stencil exchange an application performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StencilKind {
     /// 2D nearest neighbor: 4 face neighbors.
     Nn2d,
@@ -54,7 +52,7 @@ impl StencilKind {
 }
 
 /// A stencil application: kind plus grid dimensions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StencilApp {
     kind: StencilKind,
     dims: [usize; 3], // 2D stencils use dims[2] == 1

@@ -9,10 +9,9 @@
 //! to speak.
 
 use crate::pattern::Flow;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic synthetic pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyntheticPattern {
     /// `dst = N - 1 - src` (generalized bit-complement; equals the
     /// classic bit-complement when `N` is a power of two).

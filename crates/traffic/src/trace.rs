@@ -9,10 +9,9 @@
 use crate::mapping::Mapping;
 use crate::pattern::Flow;
 use crate::stencil::StencilApp;
-use serde::{Deserialize, Serialize};
 
 /// A host-to-host flow with a byte volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Source host.
     pub src: u32,
@@ -23,7 +22,7 @@ pub struct FlowSpec {
 }
 
 /// A workload trace: a set of sized flows that start together.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// All flows of the workload.
     pub flows: Vec<FlowSpec>,
