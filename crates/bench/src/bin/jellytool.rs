@@ -1,7 +1,7 @@
 //! `jellytool` — the command-line front end of the library: topology
 //! inspection, path queries and tables, fault and scenario sweeps, the
-//! routing daemon and its load tests, the performance suite, and the
-//! paper's tables and figures (`jellytool repro <experiment>`).
+//! routing daemon and its load tests, and the paper's tables and figures
+//! (`jellytool repro <experiment>`).
 //!
 //! Every command, its one-line synopsis and its flags are declared once,
 //! in [`COMMANDS`]. The parser, the usage text printed on a usage error
@@ -270,23 +270,6 @@ const COMMANDS: &[Command] = &[
             ],
         ],
         run: cache_cmd,
-    },
-    Command {
-        name: "bench",
-        about: "run the performance suite; write BENCH_<name>.json and gate against a baseline",
-        operand: None,
-        flags: &[&[
-            switch("quick", "quick tier (the default)"),
-            switch("full", "full tier"),
-            value("runs", "N", "runs per workload (default 5)"),
-            value("filter", "SUBSTR", "only workloads whose name contains SUBSTR"),
-            value("out-dir", "DIR", "where the reports go (default .)"),
-            value("baseline", "FILE|DIR", "gate the medians against these reports"),
-            value("tolerance", "PCT", "regression bound in percent (default 25)"),
-            THREADS,
-            TRACE,
-        ]],
-        run: bench_cmd,
     },
     Command {
         name: "serve",
@@ -1287,70 +1270,6 @@ fn scenario_cmd(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn bench_cmd(flags: &Flags) -> Result<(), String> {
-    use jellyfish_bench::experiments::bench as bench_exp;
-
-    if flags.on("quick") && flags.on("full") {
-        flags.fail("--quick and --full are mutually exclusive");
-    }
-    let tier = if flags.on("full") { bench_exp::Tier::Full } else { bench_exp::Tier::Quick };
-    let runs: usize = flags.num_or("runs", 5);
-    if runs == 0 {
-        flags.fail("--runs must be >= 1");
-    }
-    let tolerance: f64 = flags.num_or("tolerance", 25.0);
-    if tolerance.is_nan() || tolerance < 0.0 {
-        flags.fail("--tolerance must be a percentage >= 0");
-    }
-    let out_dir = std::path::PathBuf::from(flags.get("out-dir").unwrap_or("."));
-    std::fs::create_dir_all(&out_dir).expect("create --out-dir");
-
-    let results = bench_exp::run_suite(tier, runs, flags.get("filter"));
-    if results.is_empty() {
-        eprintln!("error: no workload matches --filter {:?}", flags.get("filter").unwrap());
-        std::process::exit(2);
-    }
-    for r in &results {
-        let path = out_dir.join(r.file_name());
-        std::fs::write(&path, r.to_json()).expect("write bench report");
-        eprintln!("wrote {}", path.display());
-    }
-
-    let mut failed = false;
-    if let Some(base_path) = flags.get("baseline") {
-        let baseline =
-            bench_exp::read_baseline(std::path::Path::new(base_path)).unwrap_or_else(|e| {
-                eprintln!("error: cannot read baseline: {e}");
-                std::process::exit(2);
-            });
-        let comparisons = bench_exp::compare_to_baseline(&results, &baseline, tolerance);
-        println!(
-            "{:<18} {:>14} {:>14} {:>9}  verdict (tolerance {tolerance}%)",
-            "workload", "baseline ns", "current ns", "delta"
-        );
-        for c in &comparisons {
-            println!(
-                "{:<18} {:>14} {:>14} {:>+8.1}%  {}",
-                c.name,
-                c.baseline_ns,
-                c.current_ns,
-                c.delta_pct,
-                if c.regressed { "REGRESSION" } else { "ok" }
-            );
-            failed |= c.regressed;
-        }
-        for r in &results {
-            if !baseline.contains_key(&r.name) {
-                println!("{:<18} {:>14} {:>14}     new    no baseline", r.name, "-", r.median_ns);
-            }
-        }
-    }
-    if failed {
-        return Err("bench: performance regression detected".into());
-    }
-    Ok(())
-}
-
 /// The daemon state `serve` and `soak` share. One journal serves both
 /// roles: the daemon's `/events` stream and the process-global sink
 /// library layers publish into. Installing it BEFORE the table is built
@@ -1576,10 +1495,10 @@ mod tests {
         let flags = parse("table", &["--switches", "12", "--out", "-"]).unwrap();
         // A single leading dash is a value, not a flag.
         assert_eq!((flags.get("switches"), flags.get("out")), (Some("12"), Some("-")));
-        // `--quick` consumes nothing: the next token is a flag of its own.
-        let flags = parse("bench", &["--quick", "--runs", "3"]).unwrap();
-        assert!(flags.on("quick"));
-        assert_eq!(flags.get("runs"), Some("3"));
+        // `--until-idle` consumes nothing: the next token is a flag of its own.
+        let flags = parse("tail", &["--until-idle", "--count", "3"]).unwrap();
+        assert!(flags.on("until-idle"));
+        assert_eq!(flags.get("count"), Some("3"));
         assert_eq!(parse("repro", &["table1", "--paper"]).unwrap().operand, "table1");
     }
 
@@ -1591,7 +1510,7 @@ mod tests {
             ("table", &["--out", "--seed"], "--out needs a value"),
             ("topo", &["--seed"], "--seed needs a value"),
             ("topo", &["--seed", "1", "--seed", "2"], "duplicate flag --seed"),
-            ("bench", &["--quick", "--quick"], "duplicate flag --quick"),
+            ("stats", &["--paper", "--paper"], "duplicate flag --paper"),
             ("topo", &["seed", "1"], "expected a --flag"),
             // A switch takes no value, so `--paper false` is a stray word.
             ("stats", &["--paper", "false"], "expected a --flag, got \"false\""),

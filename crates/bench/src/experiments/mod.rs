@@ -1,7 +1,6 @@
 //! One module per paper artifact (tables I–VI, figures 4–13).
 
 pub mod ablation;
-pub mod bench;
 pub mod collective;
 pub mod faults;
 pub mod latency;

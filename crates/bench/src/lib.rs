@@ -2,10 +2,8 @@
 //! Reproduction harness for every table and figure of the paper.
 //!
 //! `jellytool repro <experiment>` (`cargo run --release -p jellyfish-bench
-//! --bin jellytool -- repro <experiment>`) regenerates the paper's evaluation artifacts;
-//! `jellytool bench` ([`experiments::bench`]) times the library itself
-//! (path computation, caching, simulator throughput, the path daemon)
-//! against committed baselines.
+//! --bin jellytool -- repro <experiment>`) regenerates the paper's evaluation artifacts.
+//! The library's speed is measured end to end by `perfbench/`, not here.
 //!
 //! Experiments run at two scales:
 //!
@@ -20,7 +18,5 @@
 pub mod experiments;
 pub mod scale;
 pub mod serve;
-pub mod summary;
 
 pub use scale::Scale;
-pub use summary::Summary;

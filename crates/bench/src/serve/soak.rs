@@ -12,8 +12,7 @@
 //! `queries` queries and `churn` fault/repair cycles, RSS growth must
 //! stay under [`SoakConfig::rss_growth_budget`]. A leak in the disk
 //! store, the LRU, or the per-request rendering shows up here as
-//! monotonic growth and fails the budget check (and the perf gate picks
-//! up latency regressions via `BENCH_serve_query.json`).
+//! monotonic growth and fails the budget check.
 
 use super::ServeState;
 use jellyfish_obs::LogHistogram;

@@ -4,8 +4,7 @@
 //! a usage error, not a silent empty sweep), flag values that do not
 //! parse and stray words after switches (usage errors, never a silent
 //! default), the generated help, a quiet exit when stdout's reader has
-//! gone, the `bench` regression gate's exit codes against doctored
-//! baselines, and (under `--features audit`) the audit counters in an
+//! gone, and (under `--features audit`) the audit counters in an
 //! audited run's `--metrics` file.
 
 use std::path::PathBuf;
@@ -69,25 +68,17 @@ fn scenario_descending_or_degenerate_load_grid_is_a_usage_error() {
 /// silent fall-back to the default (`--seed abc` used to build seed 1).
 #[test]
 fn unparsable_flag_values_are_usage_errors() {
-    let out_dir = temp_dir("bad-values");
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let topo = ["--switches", "10", "--ports", "6", "--net-ports", "4"];
-    let dir = out_dir.to_str().unwrap();
-    let bench = ["--quick", "--runs", "1", "--filter", "topo_build", "--out-dir", dir];
     for (args, flag) in [
         ([&["topo"][..], &topo, &["--seed", "abc"]].concat(), "--seed"),
         ([&["paths"][..], &topo, &["--src", "0", "--dst", "3", "--k", "banana"]].concat(), "--k"),
-        (
-            [&["bench"][..], &bench, &["--baseline", root, "--tolerance", "abc"]].concat(),
-            "--tolerance",
-        ),
+        ([&["stats"][..], &topo, &["--rate", "abc"]].concat(), "--rate"),
     ] {
         let out = jellytool(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "usage error for {args:?}; stderr: {stderr}");
         assert!(stderr.contains(flag), "names {flag}: {stderr}");
     }
-    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 /// `--paper` and `--audit` are switches: a following `false` is a stray
@@ -107,7 +98,8 @@ fn paper_and_audit_take_no_value() {
 }
 
 /// `help` and `<command> --help` exit 0 on stdout; an unknown or missing
-/// `repro` experiment exits 2.
+/// `repro` experiment exits 2, and so does an unknown command, such as
+/// the retired `bench`.
 #[test]
 fn help_exits_zero_and_unknown_experiments_exit_two() {
     let out = jellytool(&["help"]);
@@ -123,6 +115,9 @@ fn help_exits_zero_and_unknown_experiments_exit_two() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: jellytool repro"));
     }
+    let out = jellytool(&["bench", "--quick"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command \"bench\""));
 }
 
 /// A reader that has already gone (`jellytool help | head -0`) ends a
@@ -143,106 +138,6 @@ fn closed_stdout_exits_quietly() {
         assert_eq!(out.status.code(), Some(0), "{args:?}; stderr: {stderr}");
         assert!(stderr.is_empty(), "{args:?}; stderr: {stderr}");
     }
-}
-
-/// The bench gate end to end: reports written in the v1 schema, exit 0
-/// against a generous baseline, exit 1 against a deflated one (current
-/// run reads as slower than baseline → regression).
-#[test]
-fn bench_gate_exits_nonzero_on_regression() {
-    let out_dir = temp_dir("bench-out");
-    let out_str = out_dir.to_str().unwrap();
-
-    // One cheap workload, one run: writes BENCH_topo_build.json.
-    let out = jellytool(&[
-        "bench",
-        "--quick",
-        "--runs",
-        "1",
-        "--filter",
-        "topo_build",
-        "--out-dir",
-        out_str,
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let report = out_dir.join("BENCH_topo_build.json");
-    let text = std::fs::read_to_string(&report).expect("bench report written");
-    assert!(text.contains("\"schema\": \"jellyfish-bench v1\""), "{text}");
-    assert!(text.contains("\"name\": \"topo_build\""), "{text}");
-
-    // Deflated baseline (1 ns median): any real run regresses past 25%.
-    let baseline = out_dir.join("baseline-slow.json");
-    std::fs::write(
-        &baseline,
-        "{\"schema\": \"jellyfish-bench v1\", \"name\": \"topo_build\", \"params\": \"x\", \
-         \"runs\": 1, \"samples_ns\": [1], \"median_ns\": 1, \"iqr_ns\": 0}",
-    )
-    .unwrap();
-    let out = jellytool(&[
-        "bench",
-        "--quick",
-        "--runs",
-        "1",
-        "--filter",
-        "topo_build",
-        "--out-dir",
-        out_str,
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--tolerance",
-        "25",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "regression must fail the gate");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("performance regression detected"), "{stderr}");
-
-    // Generous baseline (absurdly slow): the same run passes.
-    let generous = out_dir.join("baseline-fast.json");
-    std::fs::write(
-        &generous,
-        "{\"schema\": \"jellyfish-bench v1\", \"name\": \"topo_build\", \"params\": \"x\", \
-         \"runs\": 1, \"samples_ns\": [900000000000], \"median_ns\": 900000000000, \
-         \"iqr_ns\": 0}",
-    )
-    .unwrap();
-    let out = jellytool(&[
-        "bench",
-        "--quick",
-        "--runs",
-        "1",
-        "--filter",
-        "topo_build",
-        "--out-dir",
-        out_str,
-        "--baseline",
-        generous.to_str().unwrap(),
-        "--tolerance",
-        "25",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("ok"));
-
-    // A pre-v1 baseline is a configuration error (exit 2), not a pass.
-    let old = out_dir.join("baseline-old.json");
-    std::fs::write(&old, "{\"bench\": \"topo_build\", \"results_us_per_iter\": {}}").unwrap();
-    let out = jellytool(&[
-        "bench",
-        "--quick",
-        "--runs",
-        "1",
-        "--filter",
-        "topo_build",
-        "--out-dir",
-        out_str,
-        "--baseline",
-        old.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2), "pre-v1 baseline must be rejected");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("regenerate"), "hint expected");
-
-    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 /// `--trace FILE` on a stats run writes a parseable Chrome trace with

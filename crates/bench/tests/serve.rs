@@ -9,6 +9,7 @@
 //! use — so these are the daemon's semantics, not just its plumbing.
 
 use jellyfish::JellyfishNetwork;
+use jellyfish_bench::serve::soak::{run_soak, SoakConfig};
 use jellyfish_bench::serve::{self, ServeState};
 use jellyfish_obs::json::parse_json;
 use jellyfish_routing::{PairSet, PathSelection};
@@ -392,4 +393,16 @@ fn tcp_shutdown_from_a_client_that_hangs_up_still_stops_the_server() {
         assert_eq!(returned, Ok(true), "serve::run must return after POST /shutdown");
         assert!(st.stopping());
     }
+}
+
+/// The soak harness under fault churn: every query answers 200, the
+/// churn thread completes fault+repair cycles while the queries run,
+/// and RSS growth stays inside the budget.
+#[test]
+fn soak_under_churn_answers_every_query_within_the_memory_budget() {
+    let cfg = SoakConfig { queries: 50_000, threads: 2, churn_cycles: 2, ..SoakConfig::default() };
+    let report = run_soak(&state(), &cfg);
+    report.check().expect("no query errors and RSS growth inside the budget");
+    assert_eq!(report.latency.count(), cfg.queries);
+    assert!(report.churn_cycles > 0, "churn thread never ran");
 }

@@ -1,10 +1,9 @@
 //! A minimal JSON reader.
 //!
 //! The workspace emits several JSON artifacts (`jellytool stats`
-//! reports, Chrome trace files, `jellyfish-bench v1` results) and —
-//! with no registry access for `serde_json` — needs to read two of
-//! them back: bench baselines for the regression gate and trace files
-//! in tests. This is a strict recursive-descent parser for exactly the
+//! reports, Chrome trace files, daemon responses) and — with no
+//! registry access for `serde_json` — needs to read JSON back: the
+//! daemon's request bodies, and traces and responses in tests. This is a strict recursive-descent parser for exactly the
 //! JSON grammar (RFC 8259): no comments, no trailing commas, no NaN.
 //! Numbers are parsed as `f64`, which is exact for every integer the
 //! workspace writes (they stay below 2^53).
@@ -361,9 +360,9 @@ mod tests {
 
     #[test]
     fn reads_workspace_style_reports() {
-        let doc = "{\n  \"schema\": \"jellyfish-bench v1\",\n  \"samples_ns\": [10, 20, 30]\n}\n";
+        let doc = "{\n  \"format\": \"jellyfish-trace v1\",\n  \"samples_ns\": [10, 20, 30]\n}\n";
         let v = parse_json(doc).unwrap();
-        assert_eq!(v.get("schema").unwrap().as_str(), Some("jellyfish-bench v1"));
+        assert_eq!(v.get("format").unwrap().as_str(), Some("jellyfish-trace v1"));
         let s: Vec<f64> = v
             .get("samples_ns")
             .unwrap()

@@ -24,11 +24,6 @@ impl BitSet {
     }
 
     #[inline]
-    fn clear(&mut self, i: u32) {
-        self.words[(i / 64) as usize] &= !(1 << (i % 64));
-    }
-
-    #[inline]
     fn get(&self, i: u32) -> bool {
         self.words[(i / 64) as usize] & (1 << (i % 64)) != 0
     }
@@ -64,12 +59,6 @@ impl Mask {
         self.nodes.set(u);
     }
 
-    /// Restores a previously removed node.
-    #[inline]
-    pub fn restore_node(&mut self, u: NodeId) {
-        self.nodes.clear(u);
-    }
-
     /// Whether node `u` is removed.
     #[inline]
     pub fn node_removed(&self, u: NodeId) -> bool {
@@ -85,16 +74,6 @@ impl Mask {
         }
         if let Some(l) = graph.link_id(v, u) {
             self.links.set(l);
-        }
-    }
-
-    /// Restores the undirected edge `{u, v}`.
-    pub fn restore_edge(&mut self, graph: &Graph, u: NodeId, v: NodeId) {
-        if let Some(l) = graph.link_id(u, v) {
-            self.links.clear(l);
-        }
-        if let Some(l) = graph.link_id(v, u) {
-            self.links.clear(l);
         }
     }
 
@@ -133,16 +112,14 @@ mod tests {
     }
 
     #[test]
-    fn node_removal_roundtrip() {
+    fn node_removal_marks_only_that_node() {
         let g = square();
         let mut m = Mask::new(&g);
         assert!(!m.node_removed(2));
         m.remove_node(2);
         assert!(m.node_removed(2));
         assert!(m.is_dirty());
-        m.restore_node(2);
-        assert!(!m.node_removed(2));
-        assert!(!m.is_dirty());
+        assert!(!m.node_removed(1));
     }
 
     #[test]
@@ -152,8 +129,7 @@ mod tests {
         m.remove_edge(&g, 0, 1);
         assert!(m.link_removed(g.link_id(0, 1).unwrap()));
         assert!(m.link_removed(g.link_id(1, 0).unwrap()));
-        m.restore_edge(&g, 0, 1);
-        assert!(!m.link_removed(g.link_id(0, 1).unwrap()));
+        assert!(!m.link_removed(g.link_id(1, 2).unwrap()));
     }
 
     #[test]
@@ -194,8 +170,6 @@ mod tests {
             b.set(i);
             assert!(b.get(i));
         }
-        b.clear(64);
-        assert!(!b.get(64));
-        assert!(b.get(63));
+        assert!(!b.get(1) && !b.get(65));
     }
 }

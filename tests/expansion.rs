@@ -136,6 +136,7 @@ proptest! {
             let streamed = PathTable::compute_streaming(&g, sel, seed, block_rows);
             let direct = PathTable::compute(&g, sel, &PairSet::AllPairs, seed);
             prop_assert!(streamed.is_compact());
+            prop_assert_eq!(streamed.num_pairs(), params.switches * (params.switches - 1));
             prop_assert_eq!(&streamed, &direct, "{} differs", sel.name());
         }
     }
