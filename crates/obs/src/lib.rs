@@ -8,7 +8,7 @@
 //! * [`LogHistogram`] — a log-bucketed `u64` histogram (~1.6% relative
 //!   quantile error) with a p50/p90/p99/p999 block, cheap enough to
 //!   record every ejected packet in the cycle-level simulator;
-//! * [`Registry`] — named counters / gauges / histograms / series with
+//! * [`Registry`] — named counters / gauges / histograms with
 //!   deterministic (sorted) iteration, plus a process-wide instance
 //!   ([`global`]) that library instrumentation reports into;
 //! * [`span`] — RAII wall-clock timing spans (`<name>.micros` total and
@@ -23,9 +23,9 @@
 //! * [`json`] — a strict, minimal JSON reader (bench baselines for the
 //!   regression gate, trace files in tests);
 //! * `jellyfish-metrics v1` — a line-oriented text format
-//!   ([`write_metrics`] / [`read_metrics`], lossless round-trip) and a
-//!   JSON rendering ([`metrics_to_json`]) in the same idiom as the
-//!   `jellyfish-run v2` / `jellyfish-faults v1` formats.
+//!   ([`write_metrics`] / [`read_metrics`], lossless round-trip) in the
+//!   same idiom as the `jellyfish-run v2` / `jellyfish-faults v1`
+//!   formats, plus a JSON summary of one histogram ([`hist_to_json`]).
 //!
 //! What belongs where: *always-on* aggregates (timings, run counters,
 //! latency percentiles) go through this crate unconditionally — their
@@ -44,6 +44,4 @@ pub mod trace;
 pub use hist::LogHistogram;
 pub use registry::{global, span, take_global, Registry, Span};
 pub use ring::Ring;
-pub use serialize::{
-    hist_to_json, metrics_to_json, read_metrics, write_metrics, MetricsReadError, METRICS_HEADER,
-};
+pub use serialize::{hist_to_json, read_metrics, write_metrics, MetricsReadError, METRICS_HEADER};

@@ -1,4 +1,4 @@
-//! Named metrics: counters, gauges, histograms and series, plus a
+//! Named metrics: counters, gauges and histograms, plus a
 //! process-wide registry that timing spans report into.
 //!
 //! All maps are `BTreeMap`s so iteration (and therefore serialization)
@@ -16,7 +16,6 @@ pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, LogHistogram>,
-    series: BTreeMap<String, Vec<f64>>,
 }
 
 fn check_name(name: &str) {
@@ -34,10 +33,7 @@ impl Registry {
 
     /// True when no metric of any kind is registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.series.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
     /// Adds `v` to the named counter (created at 0).
@@ -56,18 +52,6 @@ impl Registry {
     pub fn hist_record(&mut self, name: &str, v: u64) {
         check_name(name);
         self.hists.entry(name.to_string()).or_default().record(v);
-    }
-
-    /// Appends a point to the named series (created empty).
-    pub fn series_push(&mut self, name: &str, v: f64) {
-        check_name(name);
-        self.series.entry(name.to_string()).or_default().push(v);
-    }
-
-    /// Replaces the named series wholesale.
-    pub fn series_set(&mut self, name: &str, values: Vec<f64>) {
-        check_name(name);
-        self.series.insert(name.to_string(), values);
     }
 
     /// Inserts a pre-built histogram under `name`, merging into any
@@ -92,11 +76,6 @@ impl Registry {
         self.hists.get(name)
     }
 
-    /// The named series, if present.
-    pub fn series(&self, name: &str) -> Option<&[f64]> {
-        self.series.get(name).map(Vec::as_slice)
-    }
-
     /// Counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -112,13 +91,8 @@ impl Registry {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Series in name order.
-    pub fn all_series(&self) -> impl Iterator<Item = (&str, &[f64])> + '_ {
-        self.series.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
-    }
-
     /// Folds `other` into this registry: counters add, gauges overwrite,
-    /// histograms merge, series append.
+    /// histograms merge.
     pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -128,9 +102,6 @@ impl Registry {
         }
         for (k, h) in &other.hists {
             self.hists.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, s) in &other.series {
-            self.series.entry(k.clone()).or_default().extend_from_slice(s);
         }
     }
 }
@@ -230,14 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn hists_and_series_collect() {
+    fn hists_collect() {
         let mut r = Registry::new();
         r.hist_record("lat", 10);
         r.hist_record("lat", 30);
-        r.series_push("q", 1.0);
-        r.series_push("q", 2.0);
         assert_eq!(r.hist("lat").unwrap().count(), 2);
-        assert_eq!(r.series("q").unwrap(), &[1.0, 2.0]);
         assert!(!r.is_empty());
     }
 
@@ -246,17 +214,14 @@ mod tests {
         let mut a = Registry::new();
         a.counter_add("c", 1);
         a.hist_record("h", 5);
-        a.series_push("s", 1.0);
         let mut b = Registry::new();
         b.counter_add("c", 2);
         b.gauge_set("g", 9.0);
         b.hist_record("h", 7);
-        b.series_push("s", 2.0);
         a.merge(&b);
         assert_eq!(a.counter("c"), Some(3));
         assert_eq!(a.gauge("g"), Some(9.0));
         assert_eq!(a.hist("h").unwrap().count(), 2);
-        assert_eq!(a.series("s").unwrap(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Text and JSON persistence for a [`Registry`].
+//! Text persistence for a [`Registry`], and the JSON summary of one
+//! histogram.
 //!
 //! The line-oriented `jellyfish-metrics v1` text format follows the
 //! same idiom as the repo's other formats (`jellyfish-run`,
@@ -10,16 +11,15 @@
 //! counter <name> <u64>
 //! gauge <name> <f64>
 //! hist <name> <min> <max> <sum> <bucket>:<count> ...
-//! series <name> <f64> <f64> ...
 //! ```
 //!
 //! `hist` lines dump the non-zero buckets of the log histogram plus its
 //! exact min/max/sum, so the text form round-trips losslessly
 //! ([`read_metrics`]` ∘ `[`write_metrics`]` = id`). Duplicate names
-//! within a kind and unknown line kinds are rejected, not
-//! last-wins-ignored. The JSON form ([`metrics_to_json`]) is for
-//! dashboards: histograms are summarized to count/mean/extrema plus the
-//! p50/p90/p99/p999 block instead of raw buckets.
+//! within a kind and unknown line kinds (`series` among them) are
+//! rejected, not last-wins-ignored. [`hist_to_json`] summarizes one
+//! histogram to count/mean/extrema plus the p50/p90/p99/p999 block for
+//! JSON reports.
 
 use crate::hist::LogHistogram;
 use crate::registry::Registry;
@@ -44,13 +44,6 @@ pub fn write_metrics<W: Write>(r: &Registry, mut out: W) -> io::Result<()> {
         write!(buf, "hist {name} {min} {max} {sum}").unwrap();
         for (i, c) in h.nonzero_buckets() {
             write!(buf, " {i}:{c}").unwrap();
-        }
-        buf.push('\n');
-    }
-    for (name, s) in r.all_series() {
-        write!(buf, "series {name}").unwrap();
-        for v in s {
-            write!(buf, " {v}").unwrap();
         }
         buf.push('\n');
     }
@@ -148,14 +141,6 @@ pub fn read_metrics<R: BufRead>(input: R) -> Result<Registry, MetricsReadError> 
                     .ok_or_else(|| bad(format!("hist {name:?}: inconsistent buckets")))?;
                 out.hist_merge(name, &h);
             }
-            "series" => {
-                if out.series(name).is_some() {
-                    return Err(bad(format!("duplicate series {name:?}")));
-                }
-                let values: Result<Vec<f64>, _> = tokens.map(str::parse).collect();
-                let values = values.map_err(|e| bad(format!("series {name:?}: {e}")))?;
-                out.series_set(name, values);
-            }
             other => return Err(bad(format!("unknown metric kind {other:?}"))),
         }
     }
@@ -176,10 +161,6 @@ fn one_value<T: std::str::FromStr>(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// One JSON number token; JSON has no NaN/Inf literals, so those become
 /// `null`.
 fn json_num(v: f64) -> String {
@@ -188,11 +169,6 @@ fn json_num(v: f64) -> String {
     } else {
         "null".into()
     }
-}
-
-fn json_num_list(vals: impl Iterator<Item = f64>) -> String {
-    let items: Vec<String> = vals.map(json_num).collect();
-    format!("[{}]", items.join(", "))
 }
 
 /// A histogram's JSON summary object: count, extrema, mean and the
@@ -209,33 +185,6 @@ pub fn hist_to_json(h: &LogHistogram) -> String {
     )
 }
 
-/// Serializes a registry as JSON (stable key order, no dependency on a
-/// JSON library). Histograms are summarized — see [`hist_to_json`].
-pub fn metrics_to_json(r: &Registry) -> String {
-    let mut out = String::from("{\n");
-    let sections: [(&str, Vec<(String, String)>); 4] = [
-        ("counters", r.counters().map(|(n, v)| (n.to_string(), v.to_string())).collect()),
-        ("gauges", r.gauges().map(|(n, v)| (n.to_string(), json_num(v))).collect()),
-        ("histograms", r.hists().map(|(n, h)| (n.to_string(), hist_to_json(h))).collect()),
-        (
-            "series",
-            r.all_series()
-                .map(|(n, s)| (n.to_string(), json_num_list(s.iter().copied())))
-                .collect(),
-        ),
-    ];
-    for (si, (section, entries)) in sections.iter().enumerate() {
-        writeln!(out, "  \"{section}\": {{").unwrap();
-        for (i, (name, value)) in entries.iter().enumerate() {
-            let comma = if i + 1 < entries.len() { "," } else { "" };
-            writeln!(out, "    \"{}\": {value}{comma}", json_escape(name)).unwrap();
-        }
-        out.push_str(if si + 1 < sections.len() { "  },\n" } else { "  }\n" });
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,8 +199,6 @@ mod tests {
             r.hist_record("latency.cycles", v);
         }
         r.hist_record("empty.companion", 7);
-        r.series_set("link.util", vec![0.0, 0.5, 1.0]);
-        r.series_set("empty.series", vec![]);
         r
     }
 
@@ -268,15 +215,12 @@ mod tests {
         assert_eq!(loaded.counter("runs.total"), Some(12));
         assert_eq!(loaded.hist("latency.cycles").unwrap(), r.hist("latency.cycles").unwrap());
         assert!(loaded.gauge("weird").unwrap().is_nan());
-        assert_eq!(loaded.series("empty.series"), Some(&[][..]));
     }
 
     #[test]
     fn rejects_garbage_and_duplicates() {
         assert!(read_metrics("bogus\n".as_bytes()).is_err());
         let dup = format!("{METRICS_HEADER}\ncounter a 1\ncounter a 2\n");
-        assert!(read_metrics(dup.as_bytes()).is_err());
-        let dup = format!("{METRICS_HEADER}\nseries s 1 2\nseries s 3\n");
         assert!(read_metrics(dup.as_bytes()).is_err());
         let unknown = format!("{METRICS_HEADER}\nblorb x 1\n");
         assert!(read_metrics(unknown.as_bytes()).is_err());
@@ -289,15 +233,19 @@ mod tests {
         assert!(read_metrics(empty.as_bytes()).unwrap().is_empty());
     }
 
+    /// The `series` kind is gone from the format: an old file holding a
+    /// series line fails to parse instead of panicking or loading it.
     #[test]
-    fn json_summarizes_histograms() {
+    fn series_lines_are_rejected() {
+        let old = format!("{METRICS_HEADER}\ncounter c 1\nseries s 1 2\n");
+        assert!(matches!(read_metrics(old.as_bytes()), Err(MetricsReadError::Parse(_))));
+    }
+
+    #[test]
+    fn hist_json_summarizes() {
         let r = sample_registry();
-        let json = metrics_to_json(&r);
-        assert!(json.contains("\"latency.cycles\": {\"count\": 5"));
+        let json = hist_to_json(r.hist("latency.cycles").unwrap());
+        assert!(json.starts_with("{\"count\": 5, \"min\": 1, \"max\": 12345"));
         assert!(json.contains("\"p999\""));
-        assert!(json.contains("\"runs.total\": 12"));
-        assert!(json.contains("\"weird\": null"));
-        assert!(json.contains("\"link.util\": [0, 0.5, 1]"));
-        assert!(json.ends_with("}\n"));
     }
 }

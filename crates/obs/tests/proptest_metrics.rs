@@ -34,7 +34,6 @@ proptest! {
         counters in vec((name(), any::<u64>()), 0..5),
         gauges in vec((name(), finite_f64()), 0..5),
         hists in vec((name(), vec(any::<u64>(), 1..40)), 0..4),
-        series in vec((name(), vec(finite_f64(), 0..20)), 0..4),
     ) {
         let mut reg = Registry::default();
         for (n, v) in &counters {
@@ -47,9 +46,6 @@ proptest! {
             for v in vals {
                 reg.hist_record(n, *v);
             }
-        }
-        for (n, vals) in &series {
-            reg.series_set(n, vals.clone());
         }
 
         let mut buf = Vec::new();

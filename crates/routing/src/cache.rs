@@ -29,15 +29,15 @@
 //!   entries sorted ascending by (s, d), each:
 //!     s u32, d u32, path_count u32,
 //!     then per path: varint node_count,
-//!     then: varint stream_len, stream_len bytes of the [`PathSet`]
-//!     shared-prefix + zigzag-varint node stream
+//!     then: varint stream_len, stream_len bytes of the shared-prefix
+//!     + zigzag-varint node stream (DESIGN.md §14)
 //! footer:
 //!   checksum u64      FNV-1a over every preceding byte
 //! ```
 //!
-//! v2 replaces v1's raw `u32`-per-node path payload with the compact
-//! [`PathSet`] stream (shared-prefix + delta encoding), roughly a 3×
-//! shrink for all-pairs k-path tables; v1 files are rejected with
+//! v2 replaces v1's raw `u32`-per-node path payload with that stream
+//! (shared-prefix + delta encoding), roughly a 3× shrink for all-pairs
+//! k-path tables; v1 files are rejected with
 //! [`CacheError::BadVersion`] and transparently recomputed.
 //!
 //! Readers verify the checksum before parsing, validate every node id and
@@ -79,7 +79,7 @@
 //!   abandons the flight; waiting followers retry and one of them becomes
 //!   the new leader.
 
-use crate::table::{PairSet, PathSelection, PathTable};
+use crate::table::{PairSet, PathSelection, PathSet, PathTable};
 use crate::LlskrConfig;
 use jellyfish_topology::{Graph, NodeId};
 use std::collections::hash_map::Entry;
@@ -266,11 +266,9 @@ fn decode_selection(tag: u8, p: [u64; 3]) -> Result<PathSelection, CacheError> {
 ///
 /// Entries are emitted sorted by `(s, d)`, so identical tables produce
 /// identical bytes independent of thread count or hash-map iteration
-/// order. The per-entry payload is the compact [`crate::PathSet`] stream,
-/// computed on the fly for flat sets — the encoding is a pure function of
-/// path content, so flat and compact tables serialize to identical bytes.
+/// order. The per-entry payload is the shared-prefix node stream of the
+/// module-level format description.
 pub fn encode_table(table: &PathTable, key: &CacheKey) -> Vec<u8> {
-    use crate::table::write_varint;
     let _span = jellyfish_obs::span("routing.cache.serialize");
     debug_assert_eq!(
         table.is_dense(),
@@ -283,22 +281,123 @@ pub fn encode_table(table: &PathTable, key: &CacheKey) -> Vec<u8> {
     out.extend_from_slice(&VERSION.to_le_bytes());
     key.encode_into(&mut out);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    let mut stream = Vec::new();
     for (s, d, set) in entries {
         out.extend_from_slice(&s.to_le_bytes());
         out.extend_from_slice(&d.to_le_bytes());
         out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-        let (ends, stream) = set.compact_parts();
-        let mut lo = 0u32;
-        for &e in &ends {
-            write_varint(&mut out, (e - lo) as u64);
-            lo = e;
+        for path in set.iter() {
+            write_varint(&mut out, path.len() as u64);
         }
+        stream.clear();
+        encode_stream_into(set, &mut stream);
         write_varint(&mut out, stream.len() as u64);
         out.extend_from_slice(&stream);
     }
     let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
+}
+
+/// Appends the shared-prefix + zigzag-varint encoding of `set`'s node
+/// stream to `out`.
+///
+/// Per path: `varint(prefix)` — the number of leading nodes shared with
+/// the *previous* path in the set (0 for the first) — followed by one
+/// zigzag-varint delta per remaining node, each relative to the preceding
+/// node of the same path (the first node of a prefix-less path is delta'd
+/// from 0). Length-sorted k-path sets share at least the source switch
+/// and often several leading hops, and deltas halve the byte cost of
+/// random node ids.
+fn encode_stream_into(set: &PathSet, out: &mut Vec<u8>) {
+    let mut prev_path: &[NodeId] = &[];
+    for path in set.iter() {
+        let prefix = path.iter().zip(prev_path).take_while(|(a, b)| a == b).count();
+        write_varint(out, prefix as u64);
+        let mut prev = if prefix == 0 { 0 } else { path[prefix - 1] };
+        for &node in &path[prefix..] {
+            write_varint(out, zigzag(node as i64 - prev as i64));
+            prev = node;
+        }
+        prev_path = path;
+    }
+}
+
+/// Decodes the stream produced by [`encode_stream_into`] for paths ending
+/// at the cumulative offsets `ends`; `None` on any corruption. Strict:
+/// `ends` must be strictly increasing from a non-zero first offset, no
+/// prefix may exceed either path's length, and the whole byte stream
+/// must be consumed.
+fn decode_stream(bytes: &[u8], ends: &[u32]) -> Option<Vec<NodeId>> {
+    let total = ends.last().copied().unwrap_or(0) as usize;
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(total);
+    let mut pos = 0usize;
+    let mut prev_start = 0usize;
+    let mut lo = 0usize;
+    for &e in ends {
+        if e as usize <= lo {
+            return None;
+        }
+        let len = e as usize - lo;
+        let prefix = read_varint(bytes, &mut pos)? as usize;
+        let prev_len = lo - prev_start;
+        if prefix > len || prefix > prev_len {
+            return None;
+        }
+        for j in 0..prefix {
+            let shared = nodes[prev_start + j];
+            nodes.push(shared);
+        }
+        let mut prev = if prefix == 0 { 0i64 } else { nodes[lo + prefix - 1] as i64 };
+        for _ in prefix..len {
+            let delta = unzigzag(read_varint(bytes, &mut pos)?);
+            let node = prev + delta;
+            if !(0..=u32::MAX as i64).contains(&node) {
+                return None;
+            }
+            nodes.push(node as NodeId);
+            prev = node;
+        }
+        prev_start = lo;
+        lo = e as usize;
+    }
+    if pos != bytes.len() {
+        return None; // trailing garbage
+    }
+    Some(nodes)
+}
+
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let &byte = bytes.get(*pos)?;
+        *pos += 1;
+        v |= ((byte & 0x7F) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Bounds-checked little-endian reader over untrusted bytes.
@@ -331,7 +430,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, CacheError> {
-        crate::table::read_varint(self.buf, &mut self.pos).ok_or(CacheError::Truncated)
+        read_varint(self.buf, &mut self.pos).ok_or(CacheError::Truncated)
     }
 }
 
@@ -386,10 +485,10 @@ fn read_key(cur: &mut Cursor<'_>) -> Result<CacheKey, CacheError> {
 ///
 /// Strict: the checksum must match, node ids must be in range, path
 /// endpoints must equal the entry's pair, entries must be strictly sorted,
-/// every compact stream must decode exactly and no trailing bytes may
+/// every node stream must decode exactly and no trailing bytes may
 /// remain. Returns [`CacheError`] on any violation — this function never
-/// panics on untrusted input. Decoded tables use the flat layout, so a
-/// round trip is indistinguishable from the in-memory computation.
+/// panics on untrusted input. A round trip is indistinguishable from the
+/// in-memory computation.
 pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
     let _span = jellyfish_obs::span("routing.cache.deserialize");
     let mut cur = verify_envelope(bytes)?;
@@ -404,7 +503,7 @@ pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
     if key.pair_tag == 0 && entry_count != key.n * key.n.saturating_sub(1) {
         return Err(CacheError::Corrupt("all-pairs table with wrong entry count"));
     }
-    let mut entries: Vec<((NodeId, NodeId), crate::table::PathSet)> = Vec::new();
+    let mut entries: Vec<((NodeId, NodeId), PathSet)> = Vec::new();
     let mut prev: Option<(NodeId, NodeId)> = None;
     for _ in 0..entry_count {
         let s = cur.u32()?;
@@ -434,12 +533,10 @@ pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
             ends.push(total as u32);
         }
         let stream_len = cur.varint()? as usize;
-        let stream = cur.take(stream_len)?.to_vec();
-        let Some(set) = crate::table::PathSet::from_compact_parts(ends, stream) else {
-            return Err(CacheError::Corrupt("compact path stream does not decode"));
-        };
-        let paths = set.decode_paths();
-        for path in &paths {
+        let nodes = decode_stream(cur.take(stream_len)?, &ends)
+            .ok_or(CacheError::Corrupt("path node stream does not decode"))?;
+        let set = PathSet { nodes, ends };
+        for path in set.iter() {
             if path.iter().any(|&v| v as usize >= n) {
                 return Err(CacheError::Corrupt("path node out of range"));
             }
@@ -447,7 +544,7 @@ pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
                 return Err(CacheError::Corrupt("path endpoints disagree with pair"));
             }
         }
-        entries.push(((s, d), crate::table::PathSet::from_paths(&paths)));
+        entries.push(((s, d), set));
     }
     if cur.pos != cur.buf.len() {
         return Err(CacheError::Corrupt("trailing bytes after last entry"));
@@ -1103,6 +1200,63 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
         assert!(matches!(decode_table(&flipped), Err(CacheError::BadChecksum)));
+    }
+
+    fn stream_of(paths: &[Vec<NodeId>]) -> (PathSet, Vec<u8>) {
+        let set = PathSet::from_paths(paths);
+        let mut bytes = Vec::new();
+        encode_stream_into(&set, &mut bytes);
+        (set, bytes)
+    }
+
+    #[test]
+    fn stream_codec_is_strict() {
+        assert_eq!(decode_stream(&[], &[]), Some(vec![]));
+        let (set, bytes) = stream_of(&[vec![5, 2, 8], vec![5, 2, 9]]);
+        assert_eq!(decode_stream(&bytes, &set.ends).as_ref(), Some(&set.nodes));
+        // Truncated stream.
+        assert_eq!(decode_stream(&bytes[..bytes.len() - 1], &set.ends), None);
+        // A trailing byte.
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(decode_stream(&long, &set.ends), None);
+        // Non-increasing or zero end offsets.
+        assert_eq!(decode_stream(&bytes, &[3, 3]), None);
+        assert_eq!(decode_stream(&bytes, &[0, 3]), None);
+        // A node below zero.
+        assert_eq!(decode_stream(&[0, 1], &[1]), None);
+
+        // The first path is one prefix byte plus three one-byte deltas,
+        // so byte 4 is the second path's shared-prefix length.
+        let (set, mut bytes) = stream_of(&[vec![5, 2, 8], vec![5, 2, 8, 1, 9]]);
+        assert_eq!(bytes[4], 3);
+        bytes[4] = 4; // longer than the previous path (3 nodes)
+        assert_eq!(decode_stream(&bytes, &set.ends), None);
+        let (set, mut bytes) = stream_of(&[vec![5, 2, 8, 1], vec![5, 2]]);
+        assert_eq!(bytes[5], 2);
+        bytes[5] = 3; // longer than the path itself (2 nodes)
+        assert_eq!(decode_stream(&bytes, &set.ends), None);
+    }
+
+    /// A corrupt node stream inside an otherwise valid file (checksum
+    /// resealed) is reported as corruption, not a panic.
+    #[test]
+    fn decode_table_rejects_a_corrupt_stream() {
+        let g = small_graph();
+        let pairs = PairSet::Pairs(vec![(0, 9)]);
+        let key = CacheKey::new(&g, PathSelection::Ksp(2), &pairs, 0);
+        let table = PathTable::compute(&g, PathSelection::Ksp(2), &pairs, 0);
+        let mut bytes = encode_table(&table, &key);
+        let body = bytes.len() - 8;
+        // The last body byte ends the only entry's stream; a continuation
+        // bit there leaves the final varint unterminated.
+        bytes[body - 1] |= 0x80;
+        let checksum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            decode_table(&bytes),
+            Err(CacheError::Corrupt("path node stream does not decode"))
+        ));
     }
 
     #[test]

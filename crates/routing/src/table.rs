@@ -156,64 +156,18 @@ impl PairSet {
 
 /// The paths of one ordered pair.
 ///
-/// Two storage layouts sit behind one API. The *flat* layout keeps all
-/// nodes in one buffer and serves borrowed `&[NodeId]` slices in O(1) —
-/// the hot layout the simulators consume. The *compact* layout
-/// (shared-prefix + zigzag-varint delta encoding, the same stream the
-/// `jellyfish-ptab v2` cache persists) costs roughly a third of the flat
-/// bytes at N=1024 and keeps the metadata accessors (`len`, `hops`,
-/// `max_hops`, `shortest_index`) O(1) via the retained end-offset table;
-/// full node sequences are recovered with [`PathSet::decode_paths`] or
-/// [`PathSet::to_flat`]. Only [`PathSet::path`]/[`PathSet::iter`] require
-/// the flat layout (they hand out borrowed slices, which a compressed
-/// stream cannot back) and panic on compact sets — decompress the table
-/// before handing it to a simulator.
-#[derive(Debug, Clone)]
+/// All nodes sit in one flat buffer, so [`PathSet::path`] serves a
+/// borrowed `&[NodeId]` slice in O(1) — the layout every consumer walks
+/// (the simulator, UGAL's minimal leg, `/paths`, fault repair).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathSet {
-    repr: Repr,
+    pub(crate) nodes: Vec<NodeId>,
+    /// End offset (exclusive) of each path within `nodes`.
+    pub(crate) ends: Vec<u32>,
 }
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Flat {
-        nodes: Vec<NodeId>,
-        /// End offset (exclusive) of each path within `nodes`.
-        ends: Vec<u32>,
-    },
-    Compact {
-        /// Same end-offset semantics as `Flat::ends`, kept so `len`,
-        /// `hops` and friends stay O(1) without touching the stream.
-        ends: Box<[u32]>,
-        /// Shared-prefix + zigzag-varint node stream (see
-        /// [`PathSet::encode_stream_into`]).
-        bytes: Box<[u8]>,
-    },
-}
-
-impl Default for PathSet {
-    fn default() -> Self {
-        Self { repr: Repr::Flat { nodes: Vec::new(), ends: Vec::new() } }
-    }
-}
-
-/// Equality is over path *content*, not storage layout: a compact set
-/// equals its flat twin, so cache round trips and streaming builds
-/// compare clean against direct computation.
-impl PartialEq for PathSet {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.repr, &other.repr) {
-            (Repr::Flat { nodes: a, ends: ea }, Repr::Flat { nodes: b, ends: eb }) => {
-                a == b && ea == eb
-            }
-            _ => self.ends() == other.ends() && self.decode_nodes() == other.decode_nodes(),
-        }
-    }
-}
-
-impl Eq for PathSet {}
 
 impl PathSet {
-    /// Builds from a list of paths (flat layout).
+    /// Builds from a list of paths.
     pub fn from_paths(paths: &[Path]) -> Self {
         let total = paths.iter().map(Vec::len).sum();
         let mut nodes = Vec::with_capacity(total);
@@ -222,65 +176,48 @@ impl PathSet {
             nodes.extend_from_slice(p);
             ends.push(nodes.len() as u32);
         }
-        Self { repr: Repr::Flat { nodes, ends } }
-    }
-
-    #[inline]
-    fn ends(&self) -> &[u32] {
-        match &self.repr {
-            Repr::Flat { ends, .. } => ends,
-            Repr::Compact { ends, .. } => ends,
-        }
+        Self { nodes, ends }
     }
 
     /// Number of paths.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ends().len()
+        self.ends.len()
     }
 
     /// True if the pair has no paths.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ends().is_empty()
+        self.ends.is_empty()
     }
 
-    /// The `i`-th path as a node slice.
-    ///
-    /// # Panics
-    /// Panics on compact sets (a compressed stream cannot back a borrowed
-    /// slice); call [`PathSet::to_flat`] / [`PathTable::decompress`]
-    /// first, or use [`PathSet::decode_paths`].
     #[inline]
-    pub fn path(&self, i: usize) -> &[NodeId] {
-        match &self.repr {
-            Repr::Flat { nodes, ends } => {
-                let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
-                &nodes[lo..ends[i] as usize]
-            }
-            Repr::Compact { .. } => {
-                panic!("PathSet::path on a compact set; decompress the table first")
-            }
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1] as usize
         }
     }
 
-    /// Hop count (edges) of the `i`-th path. O(1) in both layouts.
+    /// The `i`-th path as a node slice.
+    #[inline]
+    pub fn path(&self, i: usize) -> &[NodeId] {
+        &self.nodes[self.start(i)..self.ends[i] as usize]
+    }
+
+    /// Hop count (edges) of the `i`-th path.
     #[inline]
     pub fn hops(&self, i: usize) -> usize {
-        let ends = self.ends();
-        let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
-        ends[i] as usize - lo - 1
+        self.ends[i] as usize - self.start(i) - 1
     }
 
     /// Iterates over paths as node slices.
-    ///
-    /// # Panics
-    /// Panics on compact sets, like [`PathSet::path`].
     pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
         (0..self.len()).map(move |i| self.path(i))
     }
 
-    /// Longest path hop count, 0 when empty. O(paths) in both layouts.
+    /// Longest path hop count, 0 when empty.
     pub fn max_hops(&self) -> usize {
         (0..self.len()).map(|i| self.hops(i)).max().unwrap_or(0)
     }
@@ -302,219 +239,18 @@ impl PathSet {
         best
     }
 
-    /// Whether this set uses the compact layout.
-    #[inline]
-    pub fn is_compact(&self) -> bool {
-        matches!(self.repr, Repr::Compact { .. })
-    }
-
-    /// All paths as owned node vectors; works in both layouts.
-    pub fn decode_paths(&self) -> Vec<Path> {
-        let nodes = self.decode_nodes();
-        let ends = self.ends();
-        let mut out = Vec::with_capacity(ends.len());
-        let mut lo = 0usize;
-        for &e in ends {
-            out.push(nodes[lo..e as usize].to_vec());
-            lo = e as usize;
-        }
-        out
-    }
-
-    /// The concatenated node stream (flat twin of `bytes`).
-    fn decode_nodes(&self) -> Vec<NodeId> {
-        match &self.repr {
-            Repr::Flat { nodes, .. } => nodes.clone(),
-            Repr::Compact { ends, bytes } => {
-                decode_stream(bytes, ends).expect("compact set validated on construction")
-            }
-        }
-    }
-
-    /// Compact twin of this set (no-op clone if already compact).
-    pub fn to_compact(&self) -> Self {
-        match &self.repr {
-            Repr::Compact { .. } => self.clone(),
-            Repr::Flat { nodes, ends } => {
-                let mut bytes = Vec::new();
-                encode_stream_into(nodes, ends, &mut bytes);
-                Self {
-                    repr: Repr::Compact {
-                        ends: ends.clone().into_boxed_slice(),
-                        bytes: bytes.into_boxed_slice(),
-                    },
-                }
-            }
-        }
-    }
-
-    /// Flat twin of this set (no-op clone if already flat).
-    pub fn to_flat(&self) -> Self {
-        match &self.repr {
-            Repr::Flat { .. } => self.clone(),
-            Repr::Compact { ends, .. } => {
-                let nodes = self.decode_nodes();
-                Self { repr: Repr::Flat { nodes, ends: ends.to_vec() } }
-            }
-        }
-    }
-
-    /// Rebuilds a compact set from its wire pieces, validating the
-    /// stream. `None` on any inconsistency (truncated stream, prefix
-    /// longer than a path, trailing bytes) — used by the strict cache
-    /// decoder, so it must never panic.
-    pub(crate) fn from_compact_parts(ends: Vec<u32>, bytes: Vec<u8>) -> Option<Self> {
-        // Offsets must be strictly increasing (every path has >= 1 node).
-        if ends.windows(2).any(|w| w[0] >= w[1]) || ends.first().is_some_and(|&e| e == 0) {
-            return None;
-        }
-        decode_stream(&bytes, &ends)?;
-        Some(Self {
-            repr: Repr::Compact { ends: ends.into_boxed_slice(), bytes: bytes.into_boxed_slice() },
-        })
-    }
-
-    /// The wire pieces of the compact layout: (end offsets, node stream).
-    pub(crate) fn compact_parts(&self) -> (Vec<u32>, Vec<u8>) {
-        match &self.repr {
-            Repr::Compact { ends, bytes } => (ends.to_vec(), bytes.to_vec()),
-            Repr::Flat { nodes, ends } => {
-                let mut bytes = Vec::new();
-                encode_stream_into(nodes, ends, &mut bytes);
-                (ends.clone(), bytes)
-            }
-        }
-    }
-
     /// Approximate resident heap bytes of this set.
     pub fn resident_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Flat { nodes, ends } => {
-                nodes.capacity() * std::mem::size_of::<NodeId>() + ends.capacity() * 4
-            }
-            Repr::Compact { ends, bytes } => ends.len() * 4 + bytes.len(),
-        }
+        self.nodes.capacity() * std::mem::size_of::<NodeId>() + self.ends.capacity() * 4
     }
 
     /// Whether any stored path crosses one of `removed` (undirected,
-    /// normalized `(min, max)`) edges. Works in both layouts.
+    /// normalized `(min, max)`) edges.
     fn crosses(&self, removed: &std::collections::HashSet<(NodeId, NodeId)>) -> bool {
-        let scan = |nodes: &[NodeId], ends: &[u32]| {
-            let mut lo = 0usize;
-            for &e in ends {
-                let path = &nodes[lo..e as usize];
-                if path.windows(2).any(|w| removed.contains(&(w[0].min(w[1]), w[0].max(w[1])))) {
-                    return true;
-                }
-                lo = e as usize;
-            }
-            false
-        };
-        match &self.repr {
-            Repr::Flat { nodes, ends } => scan(nodes, ends),
-            Repr::Compact { ends, .. } => scan(&self.decode_nodes(), ends),
-        }
+        self.iter().any(|path| {
+            path.windows(2).any(|w| removed.contains(&(w[0].min(w[1]), w[0].max(w[1]))))
+        })
     }
-}
-
-/// Appends the shared-prefix + zigzag-varint encoding of a flat node
-/// stream to `out`.
-///
-/// Per path: `varint(prefix)` — the number of leading nodes shared with
-/// the *previous* path in the set (0 for the first) — followed by one
-/// zigzag-varint delta per remaining node, each relative to the preceding
-/// node of the same path (the first node of a prefix-less path is delta'd
-/// from 0). Length-sorted k-path sets share at least the source switch
-/// and often several leading hops, and deltas halve the byte cost of
-/// random node ids, which is what makes 1k+-switch all-pairs tables fit.
-fn encode_stream_into(nodes: &[NodeId], ends: &[u32], out: &mut Vec<u8>) {
-    let mut prev_path: &[NodeId] = &[];
-    let mut lo = 0usize;
-    for &e in ends {
-        let path = &nodes[lo..e as usize];
-        let prefix = path.iter().zip(prev_path.iter()).take_while(|(a, b)| a == b).count();
-        write_varint(out, prefix as u64);
-        let mut prev = if prefix == 0 { 0 } else { path[prefix - 1] };
-        for &node in &path[prefix..] {
-            write_varint(out, zigzag(node as i64 - prev as i64));
-            prev = node;
-        }
-        prev_path = path;
-        lo = e as usize;
-    }
-}
-
-/// Decodes the stream produced by [`encode_stream_into`]; `None` on any
-/// corruption. Strict: the whole byte stream must be consumed.
-fn decode_stream(bytes: &[u8], ends: &[u32]) -> Option<Vec<NodeId>> {
-    let total = ends.last().copied().unwrap_or(0) as usize;
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(total);
-    let mut pos = 0usize;
-    let mut prev_start = 0usize;
-    let mut lo = 0usize;
-    for &e in ends {
-        let len = e as usize - lo;
-        let prefix = read_varint(bytes, &mut pos)? as usize;
-        let prev_len = lo - prev_start;
-        if prefix > len || prefix > prev_len {
-            return None;
-        }
-        for j in 0..prefix {
-            let shared = nodes[prev_start + j];
-            nodes.push(shared);
-        }
-        let mut prev = if prefix == 0 { 0i64 } else { nodes[lo + prefix - 1] as i64 };
-        for _ in prefix..len {
-            let delta = unzigzag(read_varint(bytes, &mut pos)?);
-            let node = prev + delta;
-            if !(0..=u32::MAX as i64).contains(&node) {
-                return None;
-            }
-            nodes.push(node as NodeId);
-            prev = node;
-        }
-        prev_start = lo;
-        lo = e as usize;
-    }
-    if pos != bytes.len() {
-        return None; // trailing garbage
-    }
-    Some(nodes)
-}
-
-pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let &byte = bytes.get(*pos)?;
-        *pos += 1;
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-    }
-    None
-}
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Computed paths for a set of switch pairs.
@@ -909,44 +645,6 @@ impl PathTable {
         };
     }
 
-    /// Converts every stored set to the compact layout in place.
-    ///
-    /// Metadata queries (`get` + `len`/`hops`/`max_hops`/`shortest_index`)
-    /// keep working; handing the table to a simulator (which walks
-    /// borrowed `path()` slices) requires [`PathTable::decompress`] first.
-    pub fn compress(&mut self) {
-        let compact = |ps: &mut PathSet| {
-            if !ps.is_compact() {
-                *ps = ps.to_compact();
-            }
-        };
-        match &mut self.storage {
-            Storage::Dense(v) => v.iter_mut().for_each(compact),
-            Storage::Sparse(m) => m.values_mut().for_each(compact),
-        }
-    }
-
-    /// Converts every stored set back to the flat layout in place.
-    pub fn decompress(&mut self) {
-        let flat = |ps: &mut PathSet| {
-            if ps.is_compact() {
-                *ps = ps.to_flat();
-            }
-        };
-        match &mut self.storage {
-            Storage::Dense(v) => v.iter_mut().for_each(flat),
-            Storage::Sparse(m) => m.values_mut().for_each(flat),
-        }
-    }
-
-    /// Whether any stored set uses the compact layout.
-    pub fn is_compact(&self) -> bool {
-        match &self.storage {
-            Storage::Dense(v) => v.iter().any(PathSet::is_compact),
-            Storage::Sparse(m) => m.values().any(PathSet::is_compact),
-        }
-    }
-
     /// Approximate resident heap bytes of the stored path sets (the
     /// memory gauge the scale benchmarks report).
     pub fn resident_bytes(&self) -> usize {
@@ -960,96 +658,6 @@ impl PathTable {
                     + m.values().map(PathSet::resident_bytes).sum::<usize>()
             }
         }
-    }
-
-    /// Dense all-pairs table built row-block by row-block, compressing
-    /// each block's sets as soon as they are computed, so the fully flat
-    /// table is never resident — the transient flat working set is one
-    /// block (`block_rows * n` sets) instead of `n^2`. That is what lets
-    /// an RRG(1024+) all-pairs table build inside a modest memory budget.
-    ///
-    /// The result is pair-for-pair equal (content equality) to
-    /// `PathTable::compute(graph, selection, &PairSet::AllPairs, seed)`
-    /// followed by [`PathTable::compress`]: per-pair seeding makes each
-    /// pair's paths independent of scheduling, and
-    /// [`PathSelection::SinglePath`] rows take the same per-source BFS
-    /// tree fast path as [`PathTable::all_pairs_shortest`] (pinned
-    /// equivalent by `all_pairs_shortest_matches_per_pair_search`).
-    pub fn compute_streaming(
-        graph: &Graph,
-        selection: PathSelection,
-        seed: u64,
-        block_rows: usize,
-    ) -> Self {
-        let _span = jellyfish_obs::span("routing.table.compute_streaming");
-        let n = graph.num_nodes();
-        let block_rows = block_rows.max(1);
-        let mut sets: Vec<PathSet> = Vec::with_capacity(n * n);
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + block_rows).min(n);
-            let block: Vec<PathSet> = match selection {
-                PathSelection::SinglePath => (lo..hi)
-                    .into_par_iter()
-                    .flat_map_iter(|src| {
-                        Self::shortest_row(graph, src as NodeId).into_iter().map(|ps| {
-                            if ps.is_empty() {
-                                ps
-                            } else {
-                                ps.to_compact()
-                            }
-                        })
-                    })
-                    .collect(),
-                _ => (lo * n..hi * n)
-                    .into_par_iter()
-                    .map(|idx| {
-                        let s = (idx / n) as NodeId;
-                        let d = (idx % n) as NodeId;
-                        if s == d {
-                            PathSet::default()
-                        } else {
-                            with_thread_workspace(graph, |ws| {
-                                PathSet::from_paths(
-                                    &selection.paths_for_pair_with(graph, s, d, seed, ws),
-                                )
-                                .to_compact()
-                            })
-                        }
-                    })
-                    .collect(),
-            };
-            sets.extend(block);
-            lo = hi;
-        }
-        let max_hops = sets.iter().map(PathSet::max_hops).max().unwrap_or(0);
-        Self { selection, n, storage: Storage::Dense(sets), max_hops }
-    }
-
-    /// One source's row of deterministic single shortest paths, via one
-    /// BFS tree (the [`PathTable::all_pairs_shortest`] scheme).
-    fn shortest_row(graph: &Graph, src: NodeId) -> Vec<PathSet> {
-        use crate::bfs::{shortest_path_tree, TieBreak};
-        let n = graph.num_nodes();
-        let (dist, pred) = shortest_path_tree(graph, src, &mut TieBreak::Deterministic);
-        let mut out = Vec::with_capacity(n);
-        let mut scratch = Vec::new();
-        for dst in 0..n as NodeId {
-            if dst == src || dist[dst as usize] == u32::MAX {
-                out.push(PathSet::default());
-                continue;
-            }
-            scratch.clear();
-            let mut cur = dst;
-            while cur != src {
-                scratch.push(cur);
-                cur = pred[cur as usize];
-            }
-            scratch.push(src);
-            scratch.reverse();
-            out.push(PathSet::from_paths(std::slice::from_ref(&scratch)));
-        }
-        out
     }
 
     /// Grows this table to cover `grown` (a graph expanded from this
@@ -1066,9 +674,7 @@ impl PathTable {
     ///
     /// Recomputed pairs use the same per-pair seeding as
     /// [`PathTable::compute`], so for those pairs the result is exactly
-    /// what a fresh compute on `grown` would produce. The storage layout
-    /// (flat vs compact) of recomputed sets follows the table's current
-    /// layout.
+    /// what a fresh compute on `grown` would produce.
     pub fn extend(
         &mut self,
         grown: &Graph,
@@ -1079,7 +685,6 @@ impl PathTable {
         let old_n = self.n;
         let new_n = grown.num_nodes();
         assert!(new_n >= old_n, "extend cannot shrink the fabric ({old_n} -> {new_n})");
-        let compact = self.is_compact();
 
         // Re-index dense storage from the old `s * old_n + d` layout.
         if let Storage::Dense(v) = &mut self.storage {
@@ -1126,12 +731,7 @@ impl PathTable {
                 let ps = with_thread_workspace(grown, |ws| {
                     let mut paths = selection.paths_for_pair_with(grown, s, d, seed, ws);
                     paths.sort_by_key(Vec::len);
-                    let ps = PathSet::from_paths(&paths);
-                    if compact {
-                        ps.to_compact()
-                    } else {
-                        ps
-                    }
+                    PathSet::from_paths(&paths)
                 });
                 ((s, d), ps)
             })
@@ -1513,91 +1113,6 @@ mod tests {
             for path in ps.iter() {
                 assert!(view.path_is_live(path));
             }
-        }
-    }
-
-    #[test]
-    fn compact_pathset_roundtrips_and_keeps_metadata() {
-        let ps = PathSet::from_paths(&[
-            vec![3, 7, 2, 9],
-            vec![3, 7, 5, 9],
-            vec![3, 1, 0, 4, 9],
-            vec![3, 9],
-        ]);
-        let compact = ps.to_compact();
-        assert!(compact.is_compact() && !ps.is_compact());
-        // Content equality across layouts, O(1) metadata preserved.
-        assert_eq!(compact, ps);
-        assert_eq!(compact.len(), ps.len());
-        for i in 0..ps.len() {
-            assert_eq!(compact.hops(i), ps.hops(i));
-        }
-        assert_eq!(compact.max_hops(), ps.max_hops());
-        assert_eq!(compact.shortest_index(), ps.shortest_index());
-        assert_eq!(compact.decode_paths(), ps.decode_paths());
-        // Exact flat round trip, and the shared-prefix encoding pays off.
-        assert_eq!(compact.to_flat(), ps);
-        assert!(compact.resident_bytes() < ps.resident_bytes());
-        // Empty sets survive the trip too.
-        assert_eq!(PathSet::default().to_compact().to_flat(), PathSet::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "decompress the table first")]
-    fn compact_pathset_path_access_panics_with_guidance() {
-        let ps = PathSet::from_paths(&[vec![0, 1, 2]]).to_compact();
-        let _ = ps.path(0);
-    }
-
-    #[test]
-    fn compact_parts_reject_corruption() {
-        let ps = PathSet::from_paths(&[vec![5, 2, 8], vec![5, 2, 9]]);
-        let (ends, bytes) = ps.compact_parts();
-        let rebuilt = PathSet::from_compact_parts(ends.clone(), bytes.clone()).unwrap();
-        assert_eq!(rebuilt, ps);
-        // Truncated stream.
-        assert!(
-            PathSet::from_compact_parts(ends.clone(), bytes[..bytes.len() - 1].to_vec()).is_none()
-        );
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(PathSet::from_compact_parts(ends.clone(), long).is_none());
-        // Non-increasing end offsets.
-        assert!(PathSet::from_compact_parts(vec![3, 3], bytes).is_none());
-    }
-
-    #[test]
-    fn table_compress_preserves_queries_and_shrinks() {
-        let g = small_graph();
-        let flat = PathTable::compute(&g, PathSelection::EdKsp(4), &PairSet::AllPairs, 2);
-        let mut t = flat.clone();
-        t.compress();
-        assert!(t.is_compact() && !flat.is_compact());
-        assert!(t.resident_bytes() < flat.resident_bytes());
-        assert_eq!(t.max_hops(), flat.max_hops());
-        assert_eq!(t.num_pairs(), flat.num_pairs());
-        // Content equality per pair and for the whole table.
-        for (s, d, ps) in flat.entries() {
-            assert_eq!(t.get(s, d), Some(ps));
-        }
-        assert_eq!(t, flat);
-        t.decompress();
-        assert!(!t.is_compact());
-        assert_eq!(t, flat);
-    }
-
-    #[test]
-    fn streaming_build_equals_compute_then_compress() {
-        let g = small_graph();
-        for sel in [PathSelection::SinglePath, PathSelection::RKsp(3), PathSelection::EdKsp(2)] {
-            let direct = PathTable::compute(&g, sel, &PairSet::AllPairs, 11);
-            // Deliberately awkward block size to cross row boundaries.
-            let streamed = PathTable::compute_streaming(&g, sel, 11, 5);
-            assert!(streamed.is_compact());
-            assert_eq!(streamed, direct, "{}", sel.name());
-            assert_eq!(streamed.max_hops(), direct.max_hops());
-            assert!(streamed.resident_bytes() < direct.resident_bytes());
         }
     }
 

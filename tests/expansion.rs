@@ -123,23 +123,6 @@ proptest! {
             }
         }
     }
-
-    /// The streaming, block-compacting builder computes the same table
-    /// as compute-then-compress for the schemes it specializes.
-    #[test]
-    fn streaming_build_matches_direct_compute(
-        (params, seed, _) in expandable_rrg(),
-        block_rows in 1usize..9,
-    ) {
-        let g = build_rrg(params, ConstructionMethod::Incremental, seed).unwrap();
-        for sel in [PathSelection::SinglePath, PathSelection::EdKsp(2)] {
-            let streamed = PathTable::compute_streaming(&g, sel, seed, block_rows);
-            let direct = PathTable::compute(&g, sel, &PairSet::AllPairs, seed);
-            prop_assert!(streamed.is_compact());
-            prop_assert_eq!(streamed.num_pairs(), params.switches * (params.switches - 1));
-            prop_assert_eq!(&streamed, &direct, "{} differs", sel.name());
-        }
-    }
 }
 
 /// A plan recorded against one fabric refuses to replay against another.
